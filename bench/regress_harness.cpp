@@ -23,6 +23,7 @@ struct Args {
   std::string compare_path;
   double tolerance = 0.15;
   double assert_speedup = 0.0;  // 0 = off
+  double assert_step3_speedup = 0.0;  // 0 = off
   double min_ms = 0.2;          // below this baseline median, report but don't gate
   int reps = 7;
   double scale = 1.0;
@@ -47,6 +48,8 @@ Args parse_args(int argc, char** argv) {
       if (const char* v = next()) a.tolerance = std::atof(v); else a.bad = true;
     } else if (arg == "--assert-speedup") {
       if (const char* v = next()) a.assert_speedup = std::atof(v); else a.bad = true;
+    } else if (arg == "--assert-step3-speedup") {
+      if (const char* v = next()) a.assert_step3_speedup = std::atof(v); else a.bad = true;
     } else if (arg == "--min-ms") {
       if (const char* v = next()) a.min_ms = std::atof(v); else a.bad = true;
     } else if (arg == "--reps") {
@@ -245,6 +248,7 @@ int run_regress(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: bench_micro_kernels --regress [--emit FILE] [--compare FILE]\n"
                  "         [--tolerance F] [--min-ms MS] [--assert-speedup R]\n"
+                 "         [--assert-step3-speedup R]\n"
                  "         [--reps N] [--scale S]\n");
     return 2;
   }
@@ -252,6 +256,7 @@ int run_regress(int argc, char** argv) {
   const std::vector<SuiteCase> suite = make_suite(args.scale);
   KernelMap kernels;
   std::vector<double> speedups;
+  std::vector<double> step3_speedups;  // best vector level over SWAR recompute
 
   // "packed" is pinned to the SWAR level so the step2.packed.* baseline
   // names keep measuring the same kernel on every host; the vector levels
@@ -306,16 +311,24 @@ int run_regress(int argc, char** argv) {
                 m_packed.step3_ms, m_cached.step3_ms);
     if (has_avx2 || has_avx512) {
       const StepMedians& m_best = m[ctxs.size() - 1];
-      std::printf("  %-14s step2 %-6s %8.4f ms  (%.2fx over packed)   step3 %8.4f ms\n",
+      const double step3_speedup =
+          m_best.step3_ms > 0.0 ? m_packed.step3_ms / m_best.step3_ms : 1.0;
+      step3_speedups.push_back(step3_speedup);
+      std::printf("  %-14s step2 %-6s %8.4f ms  (%.2fx over packed)   step3 %8.4f ms  "
+                  "(%.2fx over recompute)\n",
                   "", simd::level_name(simd::detected_level()), m_best.step2_ms,
                   m_best.step2_ms > 0.0 ? m_packed.step2_ms / m_best.step2_ms : 1.0,
-                  m_best.step3_ms);
+                  m_best.step3_ms, step3_speedup);
     }
   }
 
   const double median_speedup = median(speedups);
   std::printf("regress: suite-median step2 speedup (word-packed vs scalar): %.2fx\n",
               median_speedup);
+  if (!step3_speedups.empty()) {
+    std::printf("regress: suite-median step3 speedup (%s vs swar recompute): %.2fx\n",
+                simd::level_name(simd::detected_level()), median(step3_speedups));
+  }
 
   if (!args.emit_path.empty()) emit_json(kernels, args.reps, args.scale, args.emit_path);
 
@@ -324,6 +337,19 @@ int run_regress(int argc, char** argv) {
     std::fprintf(stderr, "regress: step2 median speedup %.2fx is below the %.2fx gate\n",
                  median_speedup, args.assert_speedup);
     rc = 1;
+  }
+  if (args.assert_step3_speedup > 0.0) {
+    // A same-run ratio, so it binds on any host; without a vector level
+    // there is nothing to compare against the SWAR recompute kernel.
+    if (step3_speedups.empty()) {
+      std::printf("regress: step3 speedup gate SKIPPED (no vector SIMD level on this host)\n");
+    } else if (const double s3 = median(step3_speedups); s3 < args.assert_step3_speedup) {
+      std::fprintf(stderr,
+                   "regress: step3 median speedup %.2fx (%s vs swar recompute) is below the "
+                   "%.2fx gate\n",
+                   s3, simd::level_name(simd::detected_level()), args.assert_step3_speedup);
+      rc = 1;
+    }
   }
   if (!args.compare_path.empty()) {
     if (compare_to_baseline(kernels, args.compare_path, args.tolerance, args.min_ms) != 0) {

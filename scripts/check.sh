@@ -15,7 +15,8 @@
 #   service       service-layer suite under ASan + TSan, replay smoke (PR 6)
 #   chaos         seeded chaos replay under ASan + TSan service label (PR 7)
 #   obs_overhead  tracing disabled-overhead gate on the Fig. 10 bench (PR 3)
-#   bench_regress bench-regression gate vs BENCH_baseline.json (PR 5)
+#   bench_regress bench-regression gate vs BENCH_baseline.json, plus
+#                 the same-run step-3 vector-vs-SWAR speedup gate
 #   simd          kernel A/B suites under every forced TSG_SIMD level (ISSUE 10)
 #
 # Environment knobs:
@@ -251,6 +252,17 @@ stage_bench_regress() {
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}" --target bench_micro_kernels
   mkdir -p results
+  # Same-run step-3 gate: the best vector level's step 3 against the
+  # SWAR-pinned recompute kernel, suite median. Its floor depends on the
+  # level: the AVX-512 accumulate (vexpand + masked multiply/add) measured
+  # 1.8x on a 4-core AVX-512 Xeon, so 1.3 fails well before that halves;
+  # the AVX2 load-permute-blend measured about 1.1x, so 0.9 guards against
+  # losing to SWAR. Hosts without a vector level skip the gate with a notice.
+  local levels step3_gate=0.9
+  levels="$(./build/bench/bench_micro_kernels --simd-levels)"
+  if grep -qx avx512 <<< "${levels}"; then
+    step3_gate=1.3
+  fi
   # One retry at double the reps: a shared host's load spike can push a
   # ~0.5 ms kernel past 15% in a single pass; a genuine regression fails
   # both passes.
@@ -260,6 +272,7 @@ stage_bench_regress() {
       --reps "${reps}" \
       --compare BENCH_baseline.json \
       --assert-speedup "${TSG_BENCH_SPEEDUP:-1.2}" \
+      --assert-step3-speedup "${step3_gate}" \
       --emit results/bench_regress_current.json > "${first_pass}" 2>&1; then
     cat "${first_pass}"
     # Name the offenders before burning another run: the retry exists for
@@ -272,6 +285,7 @@ stage_bench_regress() {
       --reps "$((reps * 2))" \
       --compare BENCH_baseline.json \
       --assert-speedup "${TSG_BENCH_SPEEDUP:-1.2}" \
+      --assert-step3-speedup "${step3_gate}" \
       --emit results/bench_regress_current.json
   else
     cat "${first_pass}"

@@ -29,6 +29,13 @@ inline constexpr index_t kTileNnzMax = kTileDim * kTileDim;
 /// the rest use the sparse (popcount-indexed) accumulator.
 inline constexpr index_t kAccumulatorThreshold = kTileNnzMax * 3 / 4;  // 192
 
+/// The `tnnz` default of this CPU port. Re-measured at every SIMD level on
+/// the regress suite (docs/PERFORMANCE.md), step 3 is flat for thresholds
+/// between 8 and 24 at each level: the dense accumulator (which zeroes only
+/// occupied rows and compresses straight into C) wins from a handful of
+/// nonzeros up, and only hyper-sparse tiles still favour the sparse one.
+inline constexpr index_t kCpuAccumulatorThreshold = 16;
+
 /// Number of cost bins the SpgemmContext scheduler partitions C tiles into
 /// (bin 0 lightest). Heavy bins are dispatched first so the long-pole tiles
 /// never land at the tail of a dynamically scheduled loop.

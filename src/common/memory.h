@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <new>
 #include <type_traits>
@@ -154,6 +155,11 @@ class PeakMemoryScope {
   double peak_mb() const { return static_cast<double>(peak_bytes()) / (1024.0 * 1024.0); }
 };
 
+/// Construction tag for TrackedAllocator: an element built from it is
+/// default-initialised (left indeterminate for trivial types) instead of
+/// value-initialised. Only assign_default_init passes it.
+struct DefaultInit {};
+
 /// Standard-allocator shim that reports (de)allocations to MemoryTracker.
 template <class T>
 class TrackedAllocator {
@@ -179,6 +185,14 @@ class TrackedAllocator {
     ::operator delete(p);
   }
 
+  /// Only for the DefaultInit tag; every other construction (resize,
+  /// push_back, copies) keeps std::allocator_traits' value-initialising
+  /// placement new.
+  template <class U>
+  void construct(U* p, DefaultInit) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+
   template <class U>
   bool operator==(const TrackedAllocator<U>&) const noexcept {
     return true;
@@ -190,6 +204,46 @@ class TrackedAllocator {
 /// output arrays and any global-memory-equivalent scratch space.
 template <class T>
 using tracked_vector = std::vector<T, TrackedAllocator<T>>;
+
+/// Forward iterator over `n` DefaultInit tags (see assign_default_init).
+class DefaultInitIterator {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = DefaultInit;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const DefaultInit*;
+  using reference = DefaultInit;
+
+  DefaultInitIterator() = default;
+  explicit DefaultInitIterator(std::size_t pos) : pos_(pos) {}
+  DefaultInit operator*() const { return {}; }
+  DefaultInitIterator& operator++() {
+    ++pos_;
+    return *this;
+  }
+  DefaultInitIterator operator++(int) {
+    DefaultInitIterator old = *this;
+    ++pos_;
+    return old;
+  }
+  bool operator==(const DefaultInitIterator& o) const { return pos_ == o.pos_; }
+
+ private:
+  std::size_t pos_ = 0;
+};
+
+/// Replace `v`'s contents with `n` default-initialised elements. The
+/// allocation is tracked as usual but no element is written, so for
+/// trivial types the pages are first touched wherever the caller first
+/// writes them — in a parallel fill, by every worker at once instead of by
+/// one serial zeroing pass. The caller must write every element before
+/// anything reads it.
+template <class T>
+void assign_default_init(tracked_vector<T>& v, std::size_t n) {
+  // The range constructor only constructs (assign/insert would also
+  // instantiate copy-assignment from the tag).
+  v = tracked_vector<T>(DefaultInitIterator(0), DefaultInitIterator(n));
+}
 
 /// Modeled device-memory capacity. The paper's GPUs hold 12/24 GB, and the
 /// row-row baselines that allocate large global intermediate buffers

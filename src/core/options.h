@@ -39,8 +39,11 @@ struct TileSpgemmOptions {
   IntersectMethod intersect = IntersectMethod::kBinarySearch;
   SymbolicKernel symbolic = SymbolicKernel::kWordPacked;
   AccumulatorPolicy accumulator = AccumulatorPolicy::kAdaptive;
-  /// Dense-accumulator threshold; the paper uses 192 (75% of 256).
-  index_t tnnz = kAccumulatorThreshold;
+  /// Dense-accumulator threshold: output tiles with more nonzeros take the
+  /// dense accumulator. The paper's 192 (kAccumulatorThreshold) was tuned
+  /// for GPU scratchpad; the default is the crossover measured on CPU
+  /// (kCpuAccumulatorThreshold).
+  index_t tnnz = kCpuAccumulatorThreshold;
   /// Cache the matched tile pairs found by step 2 so step 3 skips its
   /// re-intersection. The paper deliberately recomputes instead (its GPU
   /// kernels keep *zero* global intermediate state); caching trades

@@ -39,6 +39,121 @@ index_t derive_avx2(const std::uint64_t cm[kTileMaskWords], rowmask_t* mask_out,
   return x86::derive_epi16(cm, mask_out, row_ptr_out);
 }
 
+// Expand tables for one quarter row of doubles (4 lanes, mask nibble m):
+// `perm[m]` moves the packed qwords to the set lanes of m (as dword pairs
+// for vpermps), `lanes[m]` selects those lanes for the blend, and
+// `prefix[n]` loads exactly the first n packed qwords.
+struct QuadExpand {
+  std::int32_t perm[16][8];
+  std::int64_t lanes[16][4];
+  std::int64_t prefix[5][4];
+};
+
+constexpr QuadExpand make_quad_expand() {
+  QuadExpand t{};
+  for (int m = 0; m < 16; ++m) {
+    int src = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      const bool set = ((m >> lane) & 1) != 0;
+      t.perm[m][2 * lane] = 2 * (set ? src : 0);
+      t.perm[m][2 * lane + 1] = 2 * (set ? src : 0) + 1;
+      t.lanes[m][lane] = set ? -1 : 0;
+      if (set) ++src;
+    }
+  }
+  for (int n = 0; n <= 4; ++n) {
+    for (int lane = 0; lane < 4; ++lane) t.prefix[n][lane] = lane < n ? -1 : 0;
+  }
+  return t;
+}
+
+alignas(32) constexpr QuadExpand kQuadExpand = make_quad_expand();
+
+// Accumulate without vexpand: per mask chunk, a masked load reads exactly
+// the chunk's popcount packed B values (never past B's row, so never past
+// its value array), a permute spreads them to their columns, and a blend
+// keeps the multiply-add only in the set lanes — the unselected lanes keep
+// their old bits, so Inf*0 never lands and -0.0 is never rewritten as +0.0.
+//
+// Per chunk that is about ten instructions, so B rows of at most
+// kScalarRowMax entries take the scalar scatter instead.
+constexpr int kScalarRowMax = 4;
+
+template <class T>
+void scatter_row(T va, const T* src, const std::uint8_t* cols, int n, T* row) {
+  for (int i = 0; i < n; ++i) row[cols[i]] += va * src[i];
+}
+
+void accumulate_avx2_d(const PairTiles<double>& p, double* acc) {
+  for (index_t k = 0; k < p.a_nnz; ++k) {
+    const index_t c = p.a_col[k];
+    const unsigned m = p.b_mask[c];
+    const int cnt = std::popcount(m);
+    if (cnt == 0) continue;
+    const double* src = p.b_val + p.b_row_ptr[c];
+    double* row = acc + static_cast<std::size_t>(p.a_row[k]) * kTileDim;
+    if (cnt <= kScalarRowMax) {
+      scatter_row(p.a_val[k], src, p.b_col + p.b_row_ptr[c], cnt, row);
+      continue;
+    }
+    const __m256d va = _mm256_set1_pd(p.a_val[k]);
+    for (int q = 0; q < 4; ++q) {
+      const unsigned m4 = (m >> (4 * q)) & 0xFu;
+      if (m4 == 0) continue;
+      const int n = std::popcount(m4);
+      const __m256i load =
+          _mm256_load_si256(reinterpret_cast<const __m256i*>(kQuadExpand.prefix[n]));
+      const __m256i perm =
+          _mm256_load_si256(reinterpret_cast<const __m256i*>(kQuadExpand.perm[m4]));
+      const __m256d lanes = _mm256_castsi256_pd(
+          _mm256_load_si256(reinterpret_cast<const __m256i*>(kQuadExpand.lanes[m4])));
+      const __m256d vb = _mm256_castps_pd(
+          _mm256_permutevar8x32_ps(_mm256_castpd_ps(_mm256_maskload_pd(src, load)), perm));
+      const __m256d old = _mm256_loadu_pd(row + 4 * q);
+      const __m256d sum = _mm256_add_pd(old, _mm256_mul_pd(va, vb));
+      _mm256_storeu_pd(row + 4 * q, _mm256_blendv_pd(old, sum, lanes));
+      src += n;
+    }
+  }
+}
+
+void accumulate_avx2_f(const PairTiles<float>& p, float* acc) {
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  for (index_t k = 0; k < p.a_nnz; ++k) {
+    const index_t c = p.a_col[k];
+    const unsigned m = p.b_mask[c];
+    const int cnt = std::popcount(m);
+    if (cnt == 0) continue;
+    const float* src = p.b_val + p.b_row_ptr[c];
+    float* row = acc + static_cast<std::size_t>(p.a_row[k]) * kTileDim;
+    if (cnt <= kScalarRowMax) {
+      scatter_row(p.a_val[k], src, p.b_col + p.b_row_ptr[c], cnt, row);
+      continue;
+    }
+    const __m256 va = _mm256_set1_ps(p.a_val[k]);
+    for (int h = 0; h < 2; ++h) {
+      const std::uint64_t m8 = (m >> (8 * h)) & 0xFFu;
+      if (m8 == 0) continue;
+      const int n = std::popcount(m8);
+      // Inverse of the compress pext trick: pdep deposits the packed lane
+      // ids 0, 1, 2, ... into the bytes of the set lanes.
+      const std::uint64_t spread = _pdep_u64(m8, 0x0101010101010101ull) * 0xFFu;
+      const std::uint64_t ids = _pdep_u64(0x0706050403020100ull, spread);
+      const __m256i perm =
+          _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(static_cast<long long>(ids)));
+      const __m256i load = _mm256_cmpgt_epi32(_mm256_set1_epi32(n), iota);
+      const __m256i sel = _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(m8)), bits);
+      const __m256 lanes = _mm256_castsi256_ps(_mm256_cmpeq_epi32(sel, bits));
+      const __m256 vb = _mm256_permutevar8x32_ps(_mm256_maskload_ps(src, load), perm);
+      const __m256 old = _mm256_loadu_ps(row + 8 * h);
+      const __m256 sum = _mm256_add_ps(old, _mm256_mul_ps(va, vb));
+      _mm256_storeu_ps(row + 8 * h, _mm256_blendv_ps(old, sum, lanes));
+      src += n;
+    }
+  }
+}
+
 // Dword-pair permute patterns for compressing 4 doubles by a 4-bit mask:
 // entry m lists the float-lane pairs of the selected qwords in order,
 // zero-padded (the pad lanes are overwritten by the next chunk or ignored).
@@ -123,7 +238,10 @@ void materialize_avx2(const rowmask_t* mask_c, std::uint8_t* row_idx,
 }
 
 constexpr SymbolicOps kSym = {&mask_or_avx2, &derive_avx2};
-constexpr NumericOps kNum = {&compress_avx2_d, &compress_avx2_f, &materialize_avx2};
+// compress_exact is false: the AVX2 compress stores whole vectors.
+constexpr NumericOps kNum = {&accumulate_avx2_d, &accumulate_avx2_f,
+                             &compress_avx2_d,   &compress_avx2_f,
+                             &materialize_avx2,  /*compress_exact=*/false};
 
 }  // namespace
 

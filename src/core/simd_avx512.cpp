@@ -1,9 +1,10 @@
 // AVX-512 (F + BW + VL) kernels for the step-2/3 dispatch family. The
 // mask registers and compress instructions remove the AVX2 kernels' two
 // workarounds: compare-and-blend mask selection becomes k-register ops,
-// and the compress/materialize emulations become single vpcompress /
-// masked-store instructions with *exact* store widths (safe to target
-// shared output directly). Reached only through runtime CPUID dispatch.
+// the accumulate's load-permute-blend becomes vexpand plus masked
+// multiply/add, and the compress/materialize emulations become single
+// vpcompress / masked-store instructions with *exact* store widths (safe to
+// target shared output directly). Reached only through runtime CPUID dispatch.
 #include "core/simd_dispatch.h"
 #include "core/simd_x86.h"
 
@@ -38,6 +39,69 @@ void mask_or_avx512(const rowmask_t* mask_a, const rowmask_t* mask_b,
 index_t derive_avx512(const std::uint64_t cm[kTileMaskWords], rowmask_t* mask_out,
                       std::uint8_t* row_ptr_out) {
   return x86::derive_epi16(cm, mask_out, row_ptr_out);
+}
+
+// Accumulate: per A nonzero, expand B's row under its mask (the zero-mask
+// expand load reads exactly popcount elements, so nothing past B's values
+// is touched), multiply by the broadcast A value with the other lanes
+// zeroed, and add into the accumulator row only under the mask. A's
+// nonzeros are stored row-major, so a run of them shares accumulator row r
+// and keeps it in registers; per entry the products still arrive in the
+// oracle's order. A nonzero whose B row is empty is skipped before its
+// row is loaded, so only rows that receive a product are touched.
+void accumulate_avx512_d(const PairTiles<double>& p, double* acc) {
+  index_t k = 0;
+  while (k < p.a_nnz) {
+    if (p.b_mask[p.a_col[k]] == 0) {
+      ++k;
+      continue;
+    }
+    const index_t r = p.a_row[k];
+    double* row = acc + static_cast<std::size_t>(r) * kTileDim;
+    __m512d lo = _mm512_loadu_pd(row);
+    __m512d hi = _mm512_loadu_pd(row + 8);
+    do {
+      const index_t c = p.a_col[k];
+      const unsigned m = p.b_mask[c];
+      const double* src = p.b_val + p.b_row_ptr[c];
+      const __m512d va = _mm512_set1_pd(p.a_val[k]);
+      const auto m_lo = static_cast<__mmask8>(m & 0xFFu);
+      const auto m_hi = static_cast<__mmask8>(m >> 8);
+      lo = _mm512_mask_add_pd(
+          lo, m_lo, lo, _mm512_maskz_mul_pd(m_lo, va, _mm512_maskz_expandloadu_pd(m_lo, src)));
+      hi = _mm512_mask_add_pd(
+          hi, m_hi, hi,
+          _mm512_maskz_mul_pd(m_hi, va,
+                              _mm512_maskz_expandloadu_pd(
+                                  m_hi, src + std::popcount(static_cast<unsigned>(m_lo)))));
+      ++k;
+    } while (k < p.a_nnz && p.a_row[k] == r);
+    _mm512_storeu_pd(row, lo);
+    _mm512_storeu_pd(row + 8, hi);
+  }
+}
+
+void accumulate_avx512_f(const PairTiles<float>& p, float* acc) {
+  index_t k = 0;
+  while (k < p.a_nnz) {
+    if (p.b_mask[p.a_col[k]] == 0) {
+      ++k;
+      continue;
+    }
+    const index_t r = p.a_row[k];
+    float* row = acc + static_cast<std::size_t>(r) * kTileDim;
+    __m512 v = _mm512_loadu_ps(row);
+    do {
+      const index_t c = p.a_col[k];
+      const auto m = static_cast<__mmask16>(p.b_mask[c]);
+      const __m512 va = _mm512_set1_ps(p.a_val[k]);
+      v = _mm512_mask_add_ps(
+          v, m, v,
+          _mm512_maskz_mul_ps(m, va, _mm512_maskz_expandloadu_ps(m, p.b_val + p.b_row_ptr[c])));
+      ++k;
+    } while (k < p.a_nnz && p.a_row[k] == r);
+    _mm512_storeu_ps(row, v);
+  }
 }
 
 void compress_avx512_d(const double* acc, const rowmask_t* mask_c, double* out) {
@@ -93,7 +157,9 @@ void materialize_avx512(const rowmask_t* mask_c, std::uint8_t* row_idx,
 }
 
 constexpr SymbolicOps kSym = {&mask_or_avx512, &derive_avx512};
-constexpr NumericOps kNum = {&compress_avx512_d, &compress_avx512_f, &materialize_avx512};
+constexpr NumericOps kNum = {&accumulate_avx512_d, &accumulate_avx512_f,
+                             &compress_avx512_d,   &compress_avx512_f,
+                             &materialize_avx512,  /*compress_exact=*/true};
 
 }  // namespace
 

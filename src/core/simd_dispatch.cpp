@@ -122,12 +122,25 @@ void compress_swar_f(const float* acc, const rowmask_t* mask_c, float* out) {
   compress_swar<float>(acc, mask_c, out);
 }
 
+// Both scalar levels accumulate with the oracle loop: a word-packed form
+// has nothing to pack (each product is one multiply and one add).
+void accumulate_scalar_d(const PairTiles<double>& pair, double* acc) {
+  accumulate_pair_scalar(pair, acc);
+}
+void accumulate_scalar_f(const PairTiles<float>& pair, float* acc) {
+  accumulate_pair_scalar(pair, acc);
+}
+
 constexpr SymbolicOps kScalarSym = {&mask_or_scalar, &derive_scalar};
 constexpr SymbolicOps kSwarSym = {&mask_or_swar, &derive_swar};
-constexpr NumericOps kScalarNum = {&compress_scalar_d, &compress_scalar_f,
-                                   &::tsg::detail::materialize_tile_indices_scalar};
-constexpr NumericOps kSwarNum = {&compress_swar_d, &compress_swar_f,
-                                 &::tsg::detail::materialize_tile_indices};
+constexpr NumericOps kScalarNum = {&accumulate_scalar_d, &accumulate_scalar_f,
+                                   &compress_scalar_d,   &compress_scalar_f,
+                                   &::tsg::detail::materialize_tile_indices_scalar,
+                                   /*compress_exact=*/true};
+constexpr NumericOps kSwarNum = {&accumulate_scalar_d, &accumulate_scalar_f,
+                                 &compress_swar_d,     &compress_swar_f,
+                                 &::tsg::detail::materialize_tile_indices,
+                                 /*compress_exact=*/true};
 
 // ---------------------------------------------------------------------------
 // CPUID probes. __builtin_cpu_supports is GCC/Clang on x86; everywhere

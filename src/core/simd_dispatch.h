@@ -3,7 +3,7 @@
 // The 256-bit tile bitmask (16 x 16-bit row masks, Section 3.2 of the
 // paper) is exactly one AVX2 ymm register, which makes the symbolic
 // mask-OR / popcount / prefix-sum walk and the numeric dense-accumulator
-// compress natural vector kernels. This header names the dispatch levels
+// expand-multiply-add and compress natural vector kernels. This header names the dispatch levels
 // and the two per-level operation tables; selection happens once per call
 // (never per tile) in step2/step3:
 //
@@ -13,8 +13,10 @@
 //   kAvx512  — masked/compress kernels (AVX-512 F+BW+VL, probe __AVX512F__)
 //
 // Every level is bit-identical to kScalar by construction: the vector
-// kernels reorder *reads* (mask ORs, popcounts, compress permutes), never
-// floating-point accumulation, and tests/test_simd_dispatch.cpp enforces
+// kernels reorder *reads* (mask ORs, popcounts, expands, compress
+// permutes), never floating-point accumulation — each output entry still
+// receives its products in the scalar order, as separate multiply and add
+// (the ISA TUs build with -ffp-contract=off) — and tests/test_simd_dispatch.cpp enforces
 // the identity per primitive and end to end at every available level.
 //
 // Level resolution: `detected_level()` probes CPUID once (clamped to what
@@ -26,6 +28,7 @@
 // the build/host supports clamp down with a one-time structured warning.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <type_traits>
@@ -60,7 +63,48 @@ struct SymbolicOps {
                     std::uint8_t* row_ptr_out);
 };
 
+/// One matched (A tile, B tile) pair as the accumulate kernel sees it: A's
+/// nonzeros in storage order, B's per-row layout. The vector levels expand
+/// B's row k from `b_val + b_row_ptr[k]` under `b_mask[k]` (popcount
+/// elements, never more); the scalar oracle walks `b_col` over the row
+/// range instead, taking the implied 17th row pointer `b_nnz` for row 15.
+template <class T>
+struct PairTiles {
+  const std::uint8_t* a_row;      ///< A tile local row indices (a_nnz)
+  const std::uint8_t* a_col;      ///< A tile local column indices (a_nnz)
+  const T* a_val;                 ///< A tile values (a_nnz)
+  index_t a_nnz;
+  const rowmask_t* b_mask;        ///< B tile's 16 row masks
+  const std::uint8_t* b_row_ptr;  ///< B tile's 16 row pointers
+  const std::uint8_t* b_col;      ///< B tile local column indices (b_nnz)
+  const T* b_val;                 ///< B tile values (b_nnz)
+  index_t b_nnz;
+};
+
+/// The scalar accumulate kernel: acc[r][col] += a * b for every product of
+/// the pair, in A-nonzero order then B-row order. It is the oracle every
+/// level's accumulate must match bit for bit, and the generic body for
+/// accumulator types without a dispatched kernel.
+template <class T>
+inline void accumulate_pair_scalar(const PairTiles<T>& p, T* acc) {
+  for (index_t k = 0; k < p.a_nnz; ++k) {
+    const index_t c = p.a_col[k];
+    const index_t lo = p.b_row_ptr[c];
+    const index_t hi = c + 1 < kTileDim ? p.b_row_ptr[c + 1] : p.b_nnz;
+    T* acc_row = acc + static_cast<std::size_t>(p.a_row[k]) * kTileDim;
+    const T va = p.a_val[k];
+    for (index_t kb = lo; kb < hi; ++kb) acc_row[p.b_col[kb]] += va * p.b_val[kb];
+  }
+}
+
 /// Step-3 numeric primitives, per level.
+///
+/// Accumulate contract: `acc` is the row-major dense 16x16 tile. Every
+/// product of the pair is added into its entry in the oracle's order, as a
+/// separate multiply then add (no fused multiply-add), and lanes outside
+/// B's row mask are never added — so Inf*0 cannot leak NaN into a column
+/// B's row does not touch, and -0.0 entries stay -0.0. Only rows of `acc`
+/// that receive a product are read or written.
 ///
 /// Compress contract: `acc` is the row-major dense 16x16 scratch tile (256
 /// elements); the mask's set bits are written to `out` in storage order.
@@ -71,11 +115,16 @@ struct SymbolicOps {
 /// Materialize contract: writes *exactly* popcount(mask) bytes at
 /// row_idx / col_idx — these point into C's shared arrays where an
 /// over-wide store would race the adjacent tile on another thread.
+/// `compress_exact` marks a level whose compress also writes exactly
+/// popcount elements, so callers may compress straight into C's values.
 struct NumericOps {
+  void (*accumulate_d)(const PairTiles<double>& pair, double* acc);
+  void (*accumulate_f)(const PairTiles<float>& pair, float* acc);
   void (*compress_d)(const double* acc, const rowmask_t* mask_c, double* out);
   void (*compress_f)(const float* acc, const rowmask_t* mask_c, float* out);
   void (*materialize)(const rowmask_t* mask_c, std::uint8_t* row_idx,
                       std::uint8_t* col_idx);
+  bool compress_exact;
 };
 
 /// Operation tables for a level. Levels the build or host cannot execute
@@ -125,6 +174,19 @@ LevelKernels avx2_kernels();    // simd_avx2.cpp
 LevelKernels avx512_kernels();  // simd_avx512.cpp
 
 }  // namespace detail
+
+/// Value-typed front end for the accumulate table entry: double/float go
+/// through the dispatched kernels, any other type through the scalar body.
+template <class T>
+inline void accumulate_pair(const NumericOps& ops, const PairTiles<T>& pair, T* acc) {
+  if constexpr (std::is_same_v<T, double>) {
+    ops.accumulate_d(pair, acc);
+  } else if constexpr (std::is_same_v<T, float>) {
+    ops.accumulate_f(pair, acc);
+  } else {
+    accumulate_pair_scalar(pair, acc);
+  }
+}
 
 /// Value-typed front end for the compress table entry: double/float go
 /// through the dispatched kernels; any other accumulator type (semiring

@@ -207,23 +207,17 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
       // Fused numeric, selected per cost bin by the planner: the tile's
       // structure is fully known, its matched pairs are still hot, and the
       // packed family's symbolic result is still in the stack locals, so
-      // accumulate the values now and stage them in this thread's buffer;
-      // step 3 only copies them to their final home.
-      T vals[kTileNnzMax];
-      for (index_t k = 0; k < count; ++k) vals[k] = T{};
-      if (detail::use_dense_accumulator(options, count)) {
-        detail::accumulate_pairs_dense(a, b, pairs.data(), pairs.size(), mask_src, vals,
-                                       nops);
-        if (detail_metrics) m_fused_dense.inc();
-      } else {
-        detail::accumulate_pairs_sparse(a, b, pairs.data(), pairs.size(), mask_src,
-                                        rp_src, vals);
-        if (detail_metrics) m_fused_sparse.inc();
-      }
-      ws.staged_slot[static_cast<std::size_t>(t)] = {
-          static_cast<std::uint32_t>(tid), static_cast<offset_t>(slot.staged.size()),
-          static_cast<std::uint32_t>(count)};
-      slot.staged.insert(slot.staged.end(), vals, vals + count);
+      // accumulate the values now, straight into this thread's staging
+      // buffer; step 3 only copies them to their final home.
+      const std::size_t at = slot.staged.size();
+      slot.staged.resize(at + static_cast<std::size_t>(count));
+      const bool dense = detail::accumulate_tile(a, b, pairs.data(), pairs.size(), mask_src,
+                                                 rp_src, count, options, nops,
+                                                 slot.staged.data() + at);
+      if (detail_metrics) (dense ? m_fused_dense : m_fused_sparse).inc();
+      ws.staged_slot[static_cast<std::size_t>(t)] = {static_cast<std::uint32_t>(tid),
+                                                     static_cast<offset_t>(at),
+                                                     static_cast<std::uint32_t>(count)};
     } else if (plan.caches_tile(t)) {
       // Record this tile's pairs in the owning thread's buffer so step 3
       // skips its re-intersection (see TileSpgemmOptions::cache_pairs).

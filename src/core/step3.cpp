@@ -24,8 +24,9 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                           ws.staged_slot.size() == static_cast<std::size_t>(ntiles);
 
   // Numeric kernel table, resolved once per call. Materialize is safe to
-  // aim at C's shared arrays at every level (exact-store contract); the
-  // dense compress only ever targets the local `slots` scratch.
+  // aim at C's shared arrays at every level (exact-store contract); so is
+  // the dense compress where the level says compress_exact
+  // (accumulate_tile bounces through a scratch otherwise).
   const simd::NumericOps& nops = simd::numeric_ops(effective_simd_level(options));
 
   // Per-tile detail instruments (see step2.cpp); the gate is read once per
@@ -113,20 +114,13 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
       pair_count = pairs.size();
     }
 
-    // Only the first nnz_c slots are ever read; zeroing the full 256 would
-    // dominate the runtime of hyper-sparse-tile matrices (cop20k_A class).
-    T slots[kTileNnzMax];
-    for (index_t k = 0; k < nnz_c; ++k) slots[k] = T{};
-    if (detail::use_dense_accumulator(options, nnz_c)) {
-      detail::accumulate_pairs_dense(a, b, pair_data, pair_count, mask_c, slots, nops);
-      if (detail_metrics) m_dense.inc();
-    } else {
-      detail::accumulate_pairs_sparse(a, b, pair_data, pair_count, mask_c, row_ptr_c, slots);
-      if (detail_metrics) m_sparse.inc();
-    }
-    for (index_t k = 0; k < nnz_c; ++k) {
-      c.val[static_cast<std::size_t>(nz_base + k)] = slots[k];
-    }
+    // Accumulate straight into the tile's nnz_c values of C. The sparse
+    // path zeroes only those; the dense path zeroes only the accumulator
+    // rows that hold an output nonzero (see accumulate_pairs_dense).
+    const bool dense = detail::accumulate_tile(a, b, pair_data, pair_count, mask_c, row_ptr_c,
+                                               nnz_c, options, nops,
+                                               c.val.data() + nz_base);
+    if (detail_metrics) (dense ? m_dense : m_sparse).inc();
   });
 }
 

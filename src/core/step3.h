@@ -6,8 +6,9 @@
 //   * sparse (nnz <= tnnz): the column layout of the C tile is already known
 //     from the step-2 masks, so each product is scattered directly to its
 //     final slot via popcount-rank indexing — no temporary space at all.
-//   * dense  (nnz >  tnnz): a 256-slot accumulator on the stack, compressed
-//     through the mask afterwards.
+//   * dense  (nnz >  tnnz): a 256-slot accumulator on the stack, filled by
+//     the dispatched per-pair SIMD kernel (simd::NumericOps::accumulate_*)
+//     and compressed through the mask afterwards.
 //
 // When the ExecutionPlan enabled the pair cache, step 2 left each tile's
 // matched pairs in the workspace and this pass skips the re-intersection;

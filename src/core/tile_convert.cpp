@@ -161,38 +161,48 @@ Csr<T> tile_to_csr(const TileMatrix<T>& t) {
   calls.inc();
   Csr<T> a(t.rows, t.cols);
   const std::size_t n = static_cast<std::size_t>(t.nnz());
-  a.col_idx.resize(n);
-  a.val.resize(n);
+  // Pass 2 writes every element exactly once (a valid tile's row ranges
+  // cover its nonzeros), so the arrays skip the serial zeroing pass and are
+  // first touched by the parallel scatter.
+  assign_default_init(a.col_idx, n);
+  assign_default_init(a.val, n);
 
-  // Count nonzeros per original row from the masks.
-  for (index_t tr = 0; tr < t.tile_rows; ++tr) {
+  // Pass 1, per tile row in parallel: each original row's count is the sum
+  // of its row-mask popcounts across the tile row's tiles.
+  parallel_for(index_t{0}, t.tile_rows, [&](index_t tr) {
+    index_t count[kTileDim] = {};
     for (offset_t tile = t.tile_ptr[tr]; tile < t.tile_ptr[tr + 1]; ++tile) {
       const rowmask_t* m = t.tile_mask(tile);
-      for (index_t r = 0; r < kTileDim; ++r) {
-        const index_t row = tr * kTileDim + r;
-        if (row < t.rows) a.row_ptr[row + 1] += popcount16(m[r]);
-      }
+      for (index_t r = 0; r < kTileDim; ++r) count[r] += popcount16(m[r]);
     }
-  }
+    const index_t rows_here = std::min<index_t>(kTileDim, t.rows - tr * kTileDim);
+    for (index_t r = 0; r < rows_here; ++r) a.row_ptr[tr * kTileDim + r + 1] = count[r];
+  });
   for (index_t i = 0; i < t.rows; ++i) a.row_ptr[i + 1] += a.row_ptr[i];
 
-  // Scatter: tiles within a tile row are sorted by column, so appending in
-  // tile order keeps each CSR row sorted.
-  tracked_vector<offset_t> cursor(a.row_ptr.begin(), a.row_ptr.end() - 1);
+  // Pass 2, per tile row in parallel: a tile row owns its 16 CSR rows, so
+  // 16 stack cursors suffice. Tiles within a tile row are sorted by column,
+  // so copying each tile's row runs in tile order keeps every row sorted.
   parallel_for(index_t{0}, t.tile_rows, [&](index_t tr) {
+    const index_t row0 = tr * kTileDim;
+    const index_t rows_here = std::min<index_t>(kTileDim, t.rows - row0);
+    offset_t cursor[kTileDim];
+    for (index_t r = 0; r < rows_here; ++r) cursor[r] = a.row_ptr[row0 + r];
     for (offset_t tile = t.tile_ptr[tr]; tile < t.tile_ptr[tr + 1]; ++tile) {
       const index_t col_base = t.tile_col_idx[tile] * kTileDim;
-      for (index_t r = 0; r < kTileDim; ++r) {
-        const index_t row = tr * kTileDim + r;
-        if (row >= t.rows) break;
+      const auto tile_base = static_cast<std::size_t>(t.tile_nnz[tile]);
+      for (index_t r = 0; r < rows_here; ++r) {
         index_t lo, hi;
         t.tile_row_range(tile, r, lo, hi);
-        for (index_t k = lo; k < hi; ++k) {
-          const std::size_t src = static_cast<std::size_t>(t.tile_nnz[tile] + k);
-          const offset_t dst = cursor[row]++;
-          a.col_idx[dst] = col_base + t.col_idx[src];
-          a.val[dst] = t.val[src];
+        const auto dst = static_cast<std::size_t>(cursor[r]);
+        const std::size_t src = tile_base + static_cast<std::size_t>(lo);
+        const auto len = static_cast<std::size_t>(hi - lo);
+        for (std::size_t k = 0; k < len; ++k) {
+          a.col_idx[dst + k] = col_base + t.col_idx[src + k];
         }
+        std::copy_n(t.val.begin() + static_cast<std::ptrdiff_t>(src), len,
+                    a.val.begin() + static_cast<std::ptrdiff_t>(dst));
+        cursor[r] += static_cast<offset_t>(len);
       }
     }
   });

@@ -5,6 +5,7 @@
 // accumulation (Algorithm 3).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -47,50 +48,76 @@ inline void accumulate_pairs_sparse(const TileMatrix<T>& a, const TileMatrix<T>&
   }
 }
 
-/// Accumulate into a dense 16x16 scratch tile, then compress through the
-/// mask (Algorithm 3 lines 13-17). The accumulation order is fixed — only
-/// the compress (a pure gather) goes through the dispatched `nops`, which
-/// is what keeps every simd::Level bit-identical. `slots` must have
-/// capacity kTileNnzMax (vector compress may store past the final count).
+/// The accumulate kernel's view of one matched pair.
+template <class T>
+inline simd::PairTiles<T> pair_tiles(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                     const MatchedPair& p) {
+  const auto a_nz = static_cast<std::size_t>(a.tile_nnz[p.tile_a]);
+  const auto b_nz = static_cast<std::size_t>(b.tile_nnz[p.tile_b]);
+  const std::size_t b_rows = static_cast<std::size_t>(p.tile_b) * kTileDim;
+  return {a.row_idx.data() + a_nz, a.col_idx.data() + a_nz, a.val.data() + a_nz,
+          a.tile_nnz_of(p.tile_a),  b.mask.data() + b_rows,  b.row_ptr.data() + b_rows,
+          b.col_idx.data() + b_nz,  b.val.data() + b_nz,     b.tile_nnz_of(p.tile_b)};
+}
+
+/// Accumulate into a dense 16x16 scratch tile through the dispatched
+/// per-pair kernel, then compress through the mask (Algorithm 3 lines
+/// 13-17). Only rows that hold an output nonzero are zeroed: no product
+/// lands anywhere else, and the compress reads nothing else. Every level's
+/// kernel keeps the oracle's per-entry order (see simd::NumericOps), which
+/// is what keeps every simd::Level bit-identical. `out` needs capacity
+/// kTileNnzMax unless nops.compress_exact.
 template <class T>
 inline void accumulate_pairs_dense(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                    const MatchedPair* pairs, std::size_t pair_count,
-                                   const rowmask_t* mask_c, T* slots,
+                                   const rowmask_t* mask_c, T* out,
                                    const simd::NumericOps& nops) {
-  T acc[kTileNnzMax] = {};
+  alignas(64) T acc[kTileNnzMax];
+  for (index_t r = 0; r < kTileDim; ++r) {
+    if (mask_c[r] != 0) std::fill_n(acc + static_cast<std::size_t>(r) * kTileDim, kTileDim, T{});
+  }
   for (std::size_t pi = 0; pi < pair_count; ++pi) {
-    const MatchedPair& p = pairs[pi];
-    const offset_t a_nz = a.tile_nnz[p.tile_a];
-    const index_t a_cnt = a.tile_nnz_of(p.tile_a);
-    const offset_t b_nz = b.tile_nnz[p.tile_b];
-    for (index_t k = 0; k < a_cnt; ++k) {
-      const std::size_t ga = static_cast<std::size_t>(a_nz + k);
-      const index_t r = a.row_idx[ga];
-      const index_t col_a = a.col_idx[ga];
-      const T va = a.val[ga];
-      index_t lo, hi;
-      b.tile_row_range(p.tile_b, col_a, lo, hi);
-      T* acc_row = acc + static_cast<std::size_t>(r) * kTileDim;
-      for (index_t kb = lo; kb < hi; ++kb) {
-        const std::size_t gb = static_cast<std::size_t>(b_nz + kb);
-        acc_row[b.col_idx[gb]] += va * b.val[gb];
-      }
-    }
+    simd::accumulate_pair<T>(nops, pair_tiles(a, b, pairs[pi]), acc);
   }
   // Compress: the mask's bit order in packed-word form equals the storage
   // order of the tile's nonzeros (with four rows per word, bit b of word
   // wi indexes dense slot 64*wi + b), so the dispatched compress kernel is
   // a pure in-order gather of the set slots.
-  simd::compress_tile<T>(nops, acc, mask_c, slots);
+  simd::compress_tile<T>(nops, acc, mask_c, out);
 }
 
 /// Whether tile-level accumulation should take the dense 256-slot path for
 /// an output tile of `nnz_c` nonzeros under the given options. Keeping the
 /// predicate in one place guarantees the fused step-2 path and the staged
-/// step-3 path choose the same accumulator (so results are bit-identical).
+/// step-3 path choose the same accumulator for a tile.
 inline bool use_dense_accumulator(const TileSpgemmOptions& options, index_t nnz_c) {
   return options.accumulator == AccumulatorPolicy::kAlwaysDense ||
          (options.accumulator == AccumulatorPolicy::kAdaptive && nnz_c > options.tnnz);
+}
+
+/// Accumulate one output tile's nnz_c values into `out` with the
+/// accumulator the options pick; returns whether that was the dense one.
+/// `out` may point into C's shared values: the dense path bounces through a
+/// local scratch when the level's compress over-stores.
+template <class T>
+inline bool accumulate_tile(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                            const MatchedPair* pairs, std::size_t pair_count,
+                            const rowmask_t* mask_c, const std::uint8_t* row_ptr_c,
+                            index_t nnz_c, const TileSpgemmOptions& options,
+                            const simd::NumericOps& nops, T* out) {
+  if (!use_dense_accumulator(options, nnz_c)) {
+    std::fill_n(out, nnz_c, T{});
+    accumulate_pairs_sparse(a, b, pairs, pair_count, mask_c, row_ptr_c, out);
+    return false;
+  }
+  if (nops.compress_exact) {
+    accumulate_pairs_dense(a, b, pairs, pair_count, mask_c, out, nops);
+  } else {
+    T scratch[kTileNnzMax];
+    accumulate_pairs_dense(a, b, pairs, pair_count, mask_c, scratch, nops);
+    std::copy_n(scratch, nnz_c, out);
+  }
+  return true;
 }
 
 /// Materialise a tile's local row/column index arrays from its 16 row

@@ -6,7 +6,11 @@
 // promise — the vector kernels reorder reads, never accumulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
 #include "gen/generators.h"
+#include "obs/metrics.h"
 #include "test_support.h"
 
 namespace tsg {
@@ -205,6 +210,181 @@ TEST(SimdPrimitives, MaterializeIsExactWidthAndMatchesOracle) {
   }
 }
 
+/// A random value that is a NaN, +-Inf, -0.0 or +0.0 one time in three.
+template <class T>
+T special_or_random(Xoshiro256& rng) {
+  switch (rng.next_below(12)) {
+    case 0: return std::numeric_limits<T>::quiet_NaN();
+    case 1: return std::numeric_limits<T>::infinity();
+    case 2: return -std::numeric_limits<T>::infinity();
+    case 3: return static_cast<T>(-0.0);
+    default: return static_cast<T>(rng.next_double() * 4.0 - 2.0);
+  }
+}
+
+/// Same bits, or both NaN: NaN payloads are not part of the identity (the
+/// order of the operands of an add decides which NaN survives, and the
+/// compiler may swap them in the scalar code).
+template <class T>
+bool same_value(T x, T y) {
+  return (std::isnan(x) && std::isnan(y)) || std::memcmp(&x, &y, sizeof(T)) == 0;
+}
+
+/// A B tile with the given row masks and random values in storage order.
+/// The values live in a heap buffer of exactly b_nnz elements, so an
+/// over-read past them trips ASan.
+template <class T>
+struct BTile {
+  alignas(32) rowmask_t mask[kTileDim];
+  std::uint8_t row_ptr[kTileDim];
+  std::vector<std::uint8_t> col;
+  std::vector<T> val;
+
+  BTile(const rowmask_t* masks, Xoshiro256& rng, bool specials) {
+    std::memcpy(mask, masks, sizeof(mask));
+    for (int r = 0; r < kTileDim; ++r) {
+      row_ptr[r] = static_cast<std::uint8_t>(col.size());
+      for (unsigned m = mask[r]; m != 0; m &= m - 1) {
+        col.push_back(static_cast<std::uint8_t>(std::countr_zero(m)));
+        val.push_back(specials ? special_or_random<T>(rng)
+                               : static_cast<T>(rng.next_double() - 0.5));
+      }
+    }
+  }
+};
+
+/// An A tile holding the given local positions (row * 16 + col, sorted:
+/// row-major storage order).
+template <class T>
+struct ATile {
+  std::vector<std::uint8_t> row, col;
+  std::vector<T> val;
+
+  ATile(const std::vector<int>& positions, Xoshiro256& rng, bool specials) {
+    for (const int pos : positions) {
+      row.push_back(static_cast<std::uint8_t>(pos / kTileDim));
+      col.push_back(static_cast<std::uint8_t>(pos % kTileDim));
+      val.push_back(specials ? special_or_random<T>(rng)
+                             : static_cast<T>(rng.next_double() - 0.5));
+    }
+  }
+};
+
+/// `n` distinct sorted local positions out of the 256.
+std::vector<int> random_positions(Xoshiro256& rng, int n) {
+  std::vector<int> slots(kTileNnzMax);
+  for (int i = 0; i < kTileNnzMax; ++i) slots[static_cast<std::size_t>(i)] = i;
+  for (int i = 0; i < n; ++i) {
+    const auto j = i + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(kTileNnzMax - i)));
+    std::swap(slots[static_cast<std::size_t>(i)], slots[static_cast<std::size_t>(j)]);
+  }
+  slots.resize(static_cast<std::size_t>(n));
+  std::sort(slots.begin(), slots.end());
+  return slots;
+}
+
+template <class T>
+simd::PairTiles<T> make_pair(const ATile<T>& a, const BTile<T>& b) {
+  return {a.row.data(), a.col.data(), a.val.data(), static_cast<index_t>(a.val.size()),
+          b.mask,       b.row_ptr,    b.col.data(), b.val.data(),
+          static_cast<index_t>(b.val.size())};
+}
+
+/// Per-primitive A/B of the accumulate kernel: 1-4 pairs into one dense
+/// tile, at every level against the scalar oracle. The accumulator starts
+/// as a mix of values, -0.0, +-Inf and NaN; with `specials` the A and B
+/// values are mixed the same way. Trial 0 drives full A tiles against full
+/// B tiles (16-column rows, row 15 through the implied 17th row pointer);
+/// trial 1 pairs full A tiles with all-empty B tiles; the rest mix empty,
+/// full, single-bit and random B rows.
+template <class T>
+void check_accumulate_level(bool specials) {
+  const simd::NumericOps& oracle = simd::numeric_ops(simd::Level::kScalar);
+  Xoshiro256 rng((sizeof(T) == 8 ? 0xA55 : 0xA56) + (specials ? 2 : 0));
+  for (int trial = 0; trial < 300; ++trial) {
+    const int pairs = 1 + static_cast<int>(rng.next_below(4));
+    std::vector<ATile<T>> as;
+    std::vector<BTile<T>> bs;
+    for (int p = 0; p < pairs; ++p) {
+      const int a_nnz = trial < 2 ? kTileNnzMax : static_cast<int>(rng.next_below(48));
+      as.emplace_back(random_positions(rng, a_nnz), rng, specials);
+      alignas(32) rowmask_t masks[kTileDim];
+      random_masks(rng, masks);
+      if (trial == 0) std::fill(std::begin(masks), std::end(masks), rowmask_t{0xFFFF});
+      if (trial == 1) std::fill(std::begin(masks), std::end(masks), rowmask_t{0});
+      bs.emplace_back(masks, rng, specials);
+    }
+    alignas(64) T start[kTileNnzMax];
+    for (T& v : start) v = special_or_random<T>(rng);
+    alignas(64) T want[kTileNnzMax];
+    std::memcpy(want, start, sizeof(want));
+    for (int p = 0; p < pairs; ++p) {
+      simd::accumulate_pair<T>(oracle, make_pair(as[p], bs[p]), want);
+    }
+    for (const simd::Level level : available_levels()) {
+      alignas(64) T got[kTileNnzMax];
+      std::memcpy(got, start, sizeof(got));
+      for (int p = 0; p < pairs; ++p) {
+        simd::accumulate_pair<T>(simd::numeric_ops(level), make_pair(as[p], bs[p]), got);
+      }
+      for (int e = 0; e < kTileNnzMax; ++e) {
+        ASSERT_TRUE(same_value(got[e], want[e]))
+            << simd::level_name(level) << " trial " << trial << " entry " << e << ": got "
+            << got[e] << " want " << want[e];
+      }
+    }
+  }
+}
+
+TEST(SimdPrimitives, AccumulateDoubleMatchesScalarOracle) {
+  check_accumulate_level<double>(false);
+}
+
+TEST(SimdPrimitives, AccumulateFloatMatchesScalarOracle) { check_accumulate_level<float>(false); }
+
+TEST(SimdPrimitives, AccumulateDoubleWithNanInfNegZeroMatchesScalarOracle) {
+  check_accumulate_level<double>(true);
+}
+
+TEST(SimdPrimitives, AccumulateFloatWithNanInfNegZeroMatchesScalarOracle) {
+  check_accumulate_level<float>(true);
+}
+
+template <class T>
+void check_accumulate_stays_in_mask() {
+  // A holds +Inf at (3, 5); B's row 5 holds one entry, 2 at column 9, and
+  // every other B row is full. The vector levels multiply Inf by the zeroed
+  // lanes of the expanded row (NaN), so only the mask keeps that out: the
+  // accumulator, all -0.0, must change at (3, 9) alone, to +Inf.
+  Xoshiro256 rng(0xA57);
+  ATile<T> a({3 * kTileDim + 5}, rng, false);
+  a.val[0] = std::numeric_limits<T>::infinity();
+  rowmask_t masks[kTileDim];
+  std::fill(std::begin(masks), std::end(masks), rowmask_t{0xFFFF});
+  masks[5] = bit_of(9);
+  BTile<T> b(masks, rng, false);
+  b.val[b.row_ptr[5]] = T{2};
+  const T neg_zero = static_cast<T>(-0.0);
+  for (const simd::Level level : available_levels()) {
+    alignas(64) T acc[kTileNnzMax];
+    std::fill(std::begin(acc), std::end(acc), neg_zero);
+    simd::accumulate_pair<T>(simd::numeric_ops(level), make_pair(a, b), acc);
+    for (int e = 0; e < kTileNnzMax; ++e) {
+      const T want = e == 3 * kTileDim + 9 ? std::numeric_limits<T>::infinity() : neg_zero;
+      ASSERT_EQ(std::memcmp(&acc[e], &want, sizeof(T)), 0)
+          << simd::level_name(level) << " entry " << e << " holds " << acc[e];
+    }
+  }
+}
+
+TEST(SimdPrimitives, AccumulateDoubleAddsOnlyUnderBsRowMask) {
+  check_accumulate_stays_in_mask<double>();
+}
+
+TEST(SimdPrimitives, AccumulateFloatAddsOnlyUnderBsRowMask) {
+  check_accumulate_stays_in_mask<float>();
+}
+
 // -------------------------------------------------- whole-pipeline identity --
 
 template <class V>
@@ -244,32 +424,56 @@ Csr<double> fuzz_matrix(std::uint64_t seed) {
   }
 }
 
+/// The accumulator routes every level is pinned against the scalar oracle:
+/// the default adaptive threshold, each accumulator forced everywhere, and
+/// the fused step-2 caller (every bin fused) on the dense route.
+struct Route {
+  const char* name;
+  SpgemmContext::Config config;
+};
+
+std::vector<Route> accumulator_routes(simd::Level level) {
+  using Config = SpgemmContext::Config;
+  const Config base = Config{}.with_simd_level(level);
+  return {{"adaptive", base},
+          {"dense", Config{base}.with_accumulator(AccumulatorPolicy::kAlwaysDense)},
+          {"sparse", Config{base}.with_accumulator(AccumulatorPolicy::kAlwaysSparse)},
+          {"fused_dense", Config{base}
+                              .with_accumulator(AccumulatorPolicy::kAlwaysDense)
+                              .with_fused_path(true)
+                              .with_fuse_max_bin(kCostBins - 1)}};
+}
+
+template <class T>
+void expect_every_level_and_route_matches_scalar(const TileMatrix<T>& t,
+                                                 const std::string& context) {
+  SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
+  const TileMatrix<T> gold = scalar.run(t, t).c;
+  for (const simd::Level level : available_levels()) {
+    for (const Route& route : accumulator_routes(level)) {
+      SpgemmContext forced(route.config);
+      expect_tiles_identical(gold, forced.run(t, t).c,
+                             std::string(simd::level_name(level)) + " " + route.name + " " +
+                                 context);
+    }
+  }
+}
+
 class ForcedLevelAb : public ::testing::TestWithParam<int> {};
 
 TEST_P(ForcedLevelAb, EveryLevelMatchesScalarEndToEnd) {
   const TileMatrix<double> t =
       csr_to_tile(fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 7000));
-  SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
-  const TileMatrix<double> gold = scalar.run(t, t).c;
-  for (const simd::Level level : available_levels()) {
-    SpgemmContext forced(SpgemmContext::Config{}.with_simd_level(level));
-    expect_tiles_identical(gold, forced.run(t, t).c,
-                           std::string(simd::level_name(level)) + " seed " +
-                               std::to_string(GetParam()));
-  }
+  expect_every_level_and_route_matches_scalar(t, "seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, ForcedLevelAb, ::testing::Range(0, 16));
 
 TEST(ForcedLevelAb, FloatPipelineMatchesScalarEndToEnd) {
-  const TileMatrix<float> t =
-      csr_to_tile(gen::cast_values<float>(gen::dense_blocks(10, 16, 4212)));
-  SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
-  const TileMatrix<float> gold = scalar.run(t, t).c;
-  for (const simd::Level level : available_levels()) {
-    SpgemmContext forced(SpgemmContext::Config{}.with_simd_level(level));
-    expect_tiles_identical(gold, forced.run(t, t).c, simd::level_name(level));
-  }
+  expect_every_level_and_route_matches_scalar(
+      csr_to_tile(gen::cast_values<float>(gen::dense_blocks(10, 16, 4212))), "blocks");
+  expect_every_level_and_route_matches_scalar(
+      csr_to_tile(gen::cast_values<float>(fuzz_matrix(7100))), "fuzz");
 }
 
 // ------------------------------------------------------- fusion bin sweep --
@@ -316,6 +520,38 @@ TEST(SimdObservability, TimingsReportTheResolvedLevel) {
   SpgemmContext top(SpgemmContext::Config{}.with_simd_level(simd::Level::kAvx512));
   EXPECT_EQ(top.run(t, t).timings.simd_level,
             static_cast<int>(simd::clamp_to_available(simd::Level::kAvx512)));
+}
+
+TEST(SimdObservability, AccumulatorCountersCountTheKernelEachTileRan) {
+  // One count per non-empty C tile, from whichever path accumulated it
+  // (step 3 or the fused step-2 path), naming the accumulator it ran.
+  const TileMatrix<double> t = csr_to_tile(fuzz_matrix(7003));
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  obs::set_metrics_detail_enabled(true);
+  for (const simd::Level level : available_levels()) {
+    for (const Route& route : accumulator_routes(level)) {
+      SpgemmContext ctx(route.config);
+      const obs::MetricsSnapshot before = reg.snapshot();
+      const TileSpgemmResult<double> res = ctx.run(t, t);
+      const obs::MetricsSnapshot d = obs::MetricsSnapshot::delta(before, reg.snapshot());
+      std::int64_t non_empty = 0;
+      std::int64_t above_tnnz = 0;
+      for (offset_t tile = 0; tile < res.c.num_tiles(); ++tile) {
+        non_empty += res.c.tile_nnz_of(tile) > 0 ? 1 : 0;
+        above_tnnz += res.c.tile_nnz_of(tile) > kCpuAccumulatorThreshold ? 1 : 0;
+      }
+      const std::int64_t dense = d.counter("spgemm.accumulator.dense");
+      const std::int64_t sparse = d.counter("spgemm.accumulator.sparse");
+      const std::string what = std::string(simd::level_name(level)) + " " + route.name;
+      EXPECT_EQ(dense + sparse, non_empty) << what;
+      const AccumulatorPolicy policy = route.config.options.accumulator;
+      const std::int64_t want_dense = policy == AccumulatorPolicy::kAlwaysDense    ? non_empty
+                                      : policy == AccumulatorPolicy::kAlwaysSparse ? 0
+                                                                                   : above_tnnz;
+      EXPECT_EQ(dense, want_dense) << what;
+    }
+  }
+  obs::set_metrics_detail_enabled(false);
 }
 
 TEST(SimdObservability, ScalarSymbolicKernelPinsScalarLevel) {

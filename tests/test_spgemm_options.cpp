@@ -70,9 +70,11 @@ TEST(Options, ThresholdBoundaryTilesAgree) {
   // nonzeros, straddling the paper's tnnz=192: adaptive picks dense, while
   // tnnz=200 picks sparse. Both must agree.
   const Csr<double> a = gen::dense_blocks(3, 14, 201);
+  TileSpgemmOptions dense_side;
+  dense_side.tnnz = kAccumulatorThreshold;
   TileSpgemmOptions sparse_side;
   sparse_side.tnnz = 200;
-  const Csr<double> c_dense = spgemm_tile(a, a);  // default tnnz = 192
+  const Csr<double> c_dense = spgemm_tile(a, a, dense_side);
   const Csr<double> c_sparse = spgemm_tile(a, a, sparse_side);
   test::expect_equal(c_dense, c_sparse, "threshold boundary");
 }

@@ -3,11 +3,18 @@
 // uint8 boundaries, and the column-major layout view.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "core/spgemm_context.h"
 #include "core/tile_convert.h"
 #include "core/tile_format.h"
 #include "core/tile_stats.h"
 #include "gen/generators.h"
 #include "matrix/convert.h"
+#include "matrix/coo.h"
 #include "test_support.h"
 
 namespace tsg {
@@ -170,6 +177,127 @@ TEST(TileFormat, FloatInstantiationWorks) {
   EXPECT_TRUE(t.validate().empty());
   const Csr<float> back = tile_to_csr(t);
   EXPECT_EQ(back.nnz(), a.nnz());
+}
+
+// ------------------------------------------------ tile_to_csr edge cases --
+
+/// Naive tile -> CSR conversion: every stored nonzero as a global
+/// (row, col, value) triple, sorted. The reference for tile_to_csr.
+template <class T>
+Csr<T> naive_tile_to_csr(const TileMatrix<T>& t) {
+  struct Entry {
+    index_t row, col;
+    T val;
+  };
+  std::vector<Entry> entries;
+  for (index_t tr = 0; tr < t.tile_rows; ++tr) {
+    for (offset_t tile = t.tile_ptr[tr]; tile < t.tile_ptr[tr + 1]; ++tile) {
+      for (offset_t k = t.tile_nnz[tile]; k < t.tile_nnz[tile + 1]; ++k) {
+        entries.push_back({tr * kTileDim + t.row_idx[k],
+                           t.tile_col_idx[tile] * kTileDim + t.col_idx[k], t.val[k]});
+      }
+    }
+  }
+  std::sort(entries.begin(), entries.end(), [](const Entry& x, const Entry& y) {
+    return x.row != y.row ? x.row < y.row : x.col < y.col;
+  });
+  Csr<T> out(t.rows, t.cols);
+  for (const Entry& e : entries) {
+    ++out.row_ptr[e.row + 1];
+    out.col_idx.push_back(e.col);
+    out.val.push_back(e.val);
+  }
+  for (index_t i = 0; i < t.rows; ++i) out.row_ptr[i + 1] += out.row_ptr[i];
+  return out;
+}
+
+/// Entry-by-entry comparison, values bitwise (tile_to_csr only moves them).
+template <class T>
+void expect_same_csr(const Csr<T>& want, const Csr<T>& got, const char* what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(got.rows, want.rows);
+  ASSERT_EQ(got.cols, want.cols);
+  ASSERT_EQ(got.row_ptr.size(), want.row_ptr.size());
+  for (std::size_t i = 0; i < want.row_ptr.size(); ++i) {
+    ASSERT_EQ(got.row_ptr[i], want.row_ptr[i]) << "row_ptr " << i;
+  }
+  ASSERT_EQ(got.col_idx.size(), want.col_idx.size());
+  ASSERT_EQ(got.val.size(), want.val.size());
+  for (std::size_t k = 0; k < want.col_idx.size(); ++k) {
+    ASSERT_EQ(got.col_idx[k], want.col_idx[k]) << "col_idx " << k;
+    ASSERT_EQ(std::memcmp(&got.val[k], &want.val[k], sizeof(T)), 0) << "val " << k;
+  }
+}
+
+TEST(TileToCsr, RowCountNotAMultipleOfTheTileSize) {
+  for (const index_t rows : {1, 15, 17, 37, 101}) {
+    const TileMatrix<double> t = csr_to_tile(
+        gen::erdos_renyi(rows, 50, static_cast<offset_t>(rows) * 4, 600 + rows));
+    ASSERT_TRUE(t.validate().empty());
+    expect_same_csr(naive_tile_to_csr(t), tile_to_csr(t),
+                    ("rows " + std::to_string(rows)).c_str());
+  }
+}
+
+TEST(TileToCsr, TileRowsWithoutTiles) {
+  // Nonzeros only in tile rows 0 and 3 of a 5-tile-row matrix (the last one
+  // partial): tile rows 1, 2 and 4 hold no tiles, and their CSR rows must
+  // come out empty.
+  Coo<double> coo{75, 40, {}, {}, {}};
+  for (index_t i = 0; i < 16; i += 3) coo.push_back(i, (i * 7) % 40, 1.0 + i);
+  for (index_t i = 48; i < 64; i += 2) coo.push_back(i, (i * 5) % 40, -2.0 - i);
+  const TileMatrix<double> t = csr_to_tile(coo_to_csr(coo));
+  ASSERT_EQ(t.tile_rows, 5);
+  ASSERT_EQ(t.tile_ptr[2] - t.tile_ptr[1], 0);
+  ASSERT_EQ(t.tile_ptr[5] - t.tile_ptr[4], 0);
+  const Csr<double> got = tile_to_csr(t);
+  expect_same_csr(naive_tile_to_csr(t), got, "empty tile rows");
+  for (index_t i = 16; i < 48; ++i) EXPECT_EQ(got.row_nnz(i), 0) << "row " << i;
+}
+
+TEST(TileToCsr, TilesThatStepOneKeepsButEndUpEmpty) {
+  // A's tile (0,0) holds (0,0); B's tile (0,0) holds (1,0). The tile grid
+  // product is non-empty, so step 1 keeps C's tile (0,0), but A's column 0
+  // meets B's empty row 0: the tile ends with no nonzeros. A second block
+  // pair gives C a non-empty tile after it.
+  Coo<double> ca{40, 40, {}, {}, {}};
+  ca.push_back(0, 0, 2.0);
+  ca.push_back(20, 20, 3.0);
+  Coo<double> cb{40, 40, {}, {}, {}};
+  cb.push_back(1, 0, 5.0);
+  cb.push_back(20, 33, 7.0);
+  const TileMatrix<double> a = csr_to_tile(coo_to_csr(ca));
+  const TileMatrix<double> b = csr_to_tile(coo_to_csr(cb));
+  SpgemmContext ctx;
+  const TileMatrix<double> c = ctx.run(a, b).c;
+  ASSERT_TRUE(c.validate().empty()) << c.validate();
+  bool has_empty_tile = false;
+  for (offset_t tile = 0; tile < c.num_tiles(); ++tile) {
+    has_empty_tile = has_empty_tile || c.tile_nnz_of(tile) == 0;
+  }
+  ASSERT_TRUE(has_empty_tile);
+  const Csr<double> got = tile_to_csr(c);
+  expect_same_csr(naive_tile_to_csr(c), got, "empty kept tile");
+  ASSERT_EQ(got.nnz(), 1);
+  EXPECT_EQ(got.col_idx[0], 33);
+  EXPECT_EQ(got.val[0], 21.0);
+}
+
+TEST(TileToCsr, FloatMatchesNaiveReference) {
+  for (const Csr<double>& a : {test::make_er_rect(), test::make_blocks(), test::make_stencil(),
+                               test::make_hyper_sparse()}) {
+    const TileMatrix<float> t = csr_to_tile(gen::cast_values<float>(a));
+    expect_same_csr(naive_tile_to_csr(t), tile_to_csr(t), "float");
+  }
+}
+
+TEST(TileToCsr, DoubleMatchesNaiveReferenceAcrossStructureClasses) {
+  for (const Csr<double>& a : {test::make_er_small(), test::make_rmat_small(),
+                               test::make_band_wide(), test::make_clustered(),
+                               test::make_blocks_large()}) {
+    const TileMatrix<double> t = csr_to_tile(a);
+    expect_same_csr(naive_tile_to_csr(t), tile_to_csr(t), "double");
+  }
 }
 
 }  // namespace
