@@ -2,14 +2,15 @@
 //
 // The GraphBLAS-style masked product is the natural extension of
 // TileSpGEMM for the graph workloads the paper motivates (triangle
-// counting computes (L*L).*L). The mask composes beautifully with the tile
-// design: M's tile layout prunes whole output tiles before any arithmetic,
-// and M's 16-bit row masks AND into the step-2 symbolic masks, so products
-// outside the mask are never accumulated and the dense intermediate
-// (L*L) is never materialised.
+// counting computes (L*L).*L). The mask composes with the tile design
+// without a pipeline of its own: SpgemmContext::run_masked runs the one
+// SpGEMM pipeline with M's tile layout as step 1's output (pruning whole
+// output tiles before any arithmetic) and M's 16-bit row masks ANDed into
+// the step-2 symbolic masks, so products outside the mask are never
+// accumulated and the intermediate (L*L) is never materialised. Budget
+// degradation, cancellation and SIMD dispatch apply as for run().
 #pragma once
 
-#include "core/step1.h"
 #include "core/tile_spgemm.h"
 
 namespace tsg {

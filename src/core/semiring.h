@@ -50,4 +50,13 @@ struct MaxTimes {
   static T reduce(T a, T b) { return std::max(a, b); }
 };
 
+/// The semiring instances the SpGEMM pipeline is compiled for: each
+/// semiring above over double and float. The explicit instantiations of the
+/// pipeline (step2.cpp, step3.cpp, spgemm_context.cpp) expand X(S, T) once
+/// per instance; a product over any other semiring does not link.
+#define TSG_FOR_EACH_SEMIRING(X)                                                    \
+  X(PlusTimes<double>, double) X(PlusTimes<float>, float) X(MinPlus<double>, double) \
+  X(MinPlus<float>, float) X(OrAnd<double>, double) X(OrAnd<float>, float)           \
+  X(MaxTimes<double>, double) X(MaxTimes<float>, float)
+
 }  // namespace tsg

@@ -1,11 +1,11 @@
-// Semiring-generic TileSpGEMM: identical tile structure pipeline (steps 1
-// and 2 are purely structural), with a step-3 numeric phase parameterised
-// on the semiring's combine/reduce.
+// Semiring-generic TileSpGEMM: C = A (x) B over a semiring of semiring.h.
 //
-// The kernels are driven through a SpgemmContext so they share its pooled
-// workspace (layout view, tile structure, per-thread pair scratch); the
-// options-only overloads spin up a transient context like the other free
-// functions.
+// There is no semiring pipeline of its own: the functions below wrap
+// SpgemmContext::run_semiring, which runs the one SpGEMM pipeline (steps 1
+// and 2 are purely structural) with a step-3 numeric phase parameterised on
+// the semiring's combine/reduce. Operand validation, budget degradation,
+// cancellation and scheduling apply as for run(). The pipeline is compiled
+// for TSG_FOR_EACH_SEMIRING (semiring.h) only.
 //
 // Semantics note: the output structure is the *structural* product — an
 // entry exists wherever at least one (A_ik, B_kj) product lands, with value
@@ -14,124 +14,23 @@
 // reachable entries.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <utility>
-#include <vector>
+#include <algorithm>
 
 #include "common/parallel.h"
-#include "core/intersect.h"
 #include "core/semiring.h"
 #include "core/spgemm_context.h"
 #include "core/tile_convert.h"
-#include "core/tile_kernels.h"
 #include "core/tile_spgemm.h"
 
 namespace tsg {
 
-/// C = A (x) B over the given semiring through a reusable context.
-template <class Semiring, class T>
-TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
-                                   const TileMatrix<T>& b) {
-  if (a.cols != b.rows) {
-    throw Error(Status::dimension_mismatch("tile_spgemm_semiring: inner dimensions differ"));
-  }
-  const TileSpgemmOptions& options = ctx.config().options;
-  SpgemmWorkspace<T>& ws = ctx.workspace<T>();
-  ws.ensure_threads(max_workers());
-  ws.begin_call();
-
-  tile_layout_csc(b, ws.b_csc);
-  const TileLayoutCsc& b_csc = ws.b_csc;
-  step1_tile_structure(a, b, ws, ws.structure);
-  const TileStructure& structure = ws.structure;
-  // Structural symbolic pass only — the semiring numeric below re-runs the
-  // intersection, so the plan requests neither caching nor fusion (fused
-  // values would be plus-times, not the semiring's combine/reduce).
-  Step2Result symbolic = step2_symbolic(a, b, b_csc, structure, options, ws, ExecutionPlan{});
-
-  TileMatrix<T> c(a.rows, b.cols);
-  c.tile_rows = structure.tile_rows;
-  c.tile_cols = structure.tile_cols;
-  c.tile_ptr = structure.tile_ptr;
-  c.tile_col_idx = structure.tile_col_idx;
-  c.tile_nnz = std::move(symbolic.tile_nnz);
-  c.row_ptr = std::move(symbolic.row_ptr);
-  c.mask = std::move(symbolic.mask);
-  const std::size_t nnz = static_cast<std::size_t>(c.nnz());
-  c.row_idx.resize(nnz);
-  c.col_idx.resize(nnz);
-  c.val.resize(nnz);
-
-  const offset_t ntiles = structure.num_tiles();
-  // Materialize dispatches like step 3 proper (exact-store contract); the
-  // semiring combine/reduce loop itself stays scalar — reassociating a
-  // user-supplied reduce is not the dispatch family's call to make.
-  const simd::NumericOps& nops = simd::numeric_ops(effective_simd_level(options));
-  parallel_for(offset_t{0}, ntiles, [&](offset_t t) {
-    // Cooperative cancellation every 64th tile (see step2.cpp): the numeric
-    // semiring pass is the long phase here, and cancellation latency must
-    // not be the whole tile range.
-    if ((t & 63) == 0) {
-      ws.cancel.note_progress();
-      if (ws.cancel.should_stop()) return;
-    }
-    const index_t tile_i = structure.tile_row_idx[static_cast<std::size_t>(t)];
-    const index_t tile_j = structure.tile_col_idx[static_cast<std::size_t>(t)];
-    const index_t nnz_c = c.tile_nnz_of(t);
-    const offset_t nz_base = c.tile_nnz[static_cast<std::size_t>(t)];
-    const std::size_t base = static_cast<std::size_t>(t) * kTileDim;
-    const rowmask_t* mask_c = c.mask.data() + base;
-    const std::uint8_t* row_ptr_c = c.row_ptr.data() + base;
-
-    nops.materialize(mask_c, c.row_idx.data() + nz_base, c.col_idx.data() + nz_base);
-    if (nnz_c == 0) return;
-
-    std::vector<MatchedPair>& pairs = ws.slot(worker_rank()).pairs;
-    pairs.clear();
-    const offset_t a_base = a.tile_ptr[tile_i];
-    const index_t len_a = static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base);
-    const offset_t b_base = b_csc.col_ptr[tile_j];
-    const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
-    intersect_tiles(a.tile_col_idx.data() + a_base, a_base, len_a,
-                    b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
-                    options.intersect, pairs);
-
-    T slots[kTileNnzMax];
-    for (index_t k = 0; k < nnz_c; ++k) slots[k] = Semiring::identity();
-    for (const MatchedPair& p : pairs) {
-      const offset_t a_nz = a.tile_nnz[static_cast<std::size_t>(p.tile_a)];
-      const index_t a_cnt = a.tile_nnz_of(p.tile_a);
-      const offset_t b_nz = b.tile_nnz[static_cast<std::size_t>(p.tile_b)];
-      for (index_t k = 0; k < a_cnt; ++k) {
-        const std::size_t ga = static_cast<std::size_t>(a_nz + k);
-        const index_t r = a.row_idx[ga];
-        const T va = a.val[ga];
-        index_t lo, hi;
-        b.tile_row_range(p.tile_b, a.col_idx[ga], lo, hi);
-        const std::uint8_t row_base = row_ptr_c[r];
-        const rowmask_t m = mask_c[r];
-        for (index_t kb = lo; kb < hi; ++kb) {
-          const std::size_t gb = static_cast<std::size_t>(b_nz + kb);
-          T& slot = slots[row_base + mask_rank(m, b.col_idx[gb])];
-          slot = Semiring::reduce(slot, Semiring::combine(va, b.val[gb]));
-        }
-      }
-    }
-    for (index_t k = 0; k < nnz_c; ++k) {
-      c.val[static_cast<std::size_t>(nz_base + k)] = slots[k];
-    }
-  });
-  return c;
-}
-
 /// C = A (x) B over the given semiring, tile format in and out (transient
-/// context).
+/// context; iterated callers should hold a context and call run_semiring).
 template <class Semiring, class T>
 TileMatrix<T> tile_spgemm_semiring(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                    const TileSpgemmOptions& options = {}) {
   SpgemmContext ctx(SpgemmContext::Config{}.with_options(options));
-  return tile_spgemm_semiring<Semiring>(ctx, a, b);
+  return ctx.run_semiring<Semiring>(a, b).c;
 }
 
 /// CSR convenience wrapper.

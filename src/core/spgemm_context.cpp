@@ -72,6 +72,23 @@ int bin_of(offset_t cost) {
   return 3;
 }
 
+/// Step 1 under an output mask: C's tile structure is M's as-is, empty
+/// tiles included. The product can only empty M's tiles, never add tiles
+/// outside them, so no symbolic tile product is needed.
+template <class T>
+void mask_tile_structure(const TileMatrix<T>& mask, TileStructure& out) {
+  out.tile_rows = mask.tile_rows;
+  out.tile_cols = mask.tile_cols;
+  out.tile_ptr = mask.tile_ptr;
+  out.tile_col_idx = mask.tile_col_idx;
+  out.tile_row_idx.resize(mask.tile_col_idx.size());
+  for (index_t tr = 0; tr < mask.tile_rows; ++tr) {
+    for (offset_t t = mask.tile_ptr[tr]; t < mask.tile_ptr[tr + 1]; ++t) {
+      out.tile_row_idx[static_cast<std::size_t>(t)] = tr;
+    }
+  }
+}
+
 std::string mb_string(std::size_t bytes) {
   if (bytes == static_cast<std::size_t>(-1)) return "(overflowed) MB";
   char buf[32];
@@ -307,8 +324,9 @@ template <class T>
 ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                                        const TileStructure& structure, SpgemmWorkspace<T>& ws,
                                        bool cache_pairs, bool fuse_light,
-                                       TileSpgemmTimings& tm) {
+                                       const rowmask_t* out_mask, TileSpgemmTimings& tm) {
   ExecutionPlan plan;
+  plan.out_mask = out_mask;
   plan.cache_pairs = cache_pairs;
   plan.cache_min_bin = cfg_.pair_cache_min_bin;
   plan.fuse_light = fuse_light && cache_pairs;
@@ -335,7 +353,7 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
     const offset_t cost = (a.tile_ptr[ti + 1] - a.tile_ptr[ti]) +
                           (b_csc.col_ptr[tj + 1] - b_csc.col_ptr[tj]);
     const int bin = bin_of(cost);
-    ws.cost_bin[static_cast<std::size_t>(t)] = bin;
+    ws.cost_bin[static_cast<std::size_t>(t)] = static_cast<std::uint8_t>(bin);
     ++count[static_cast<std::size_t>(bin)];
   }
   std::array<offset_t, kCostBins> cursor{};
@@ -360,8 +378,9 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
   return plan;
 }
 
-template <class T>
-TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b) {
+template <class T, class S>
+TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                            const TileMatrix<T>* mask) {
   TSG_TRACE_SPAN("spgemm.run");
   std::optional<obs::MetricsSnapshot> before;
   if (obs::metrics_detail_enabled()) {
@@ -392,11 +411,15 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     tile_layout_csc(b, ws.b_csc);
   }
 
-  // Step 1: tile structure of C.
+  // Step 1: tile structure of C, from the tile layouts or the mask.
   {
     ScopedAccumulator scope(tm.step1_ms);
     TSG_TRACE_SPAN("step1");
-    step1_tile_structure(a, b, ws, ws.structure);
+    if (mask != nullptr) {
+      mask_tile_structure(*mask, ws.structure);
+    } else {
+      step1_tile_structure(a, b, ws, ws.structure);
+    }
   }
   // Stage boundary: convert a reason latched inside step 1 into the
   // structured status before the partial structure is consumed, and bump
@@ -434,13 +457,15 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
         " and degradation is disabled (Config::with_degradation)"));
   }
 
+  // M's row masks line up with C's tiles: step 1 took M's tile structure.
+  const rowmask_t* out_mask = mask != nullptr ? mask->mask.data() : nullptr;
   if (budget.limited) {
-    run_chunked(a, b, budget.chunks, ws, cache_pairs, fuse_light, result);
+    run_chunked<T, S>(a, b, budget.chunks, ws, cache_pairs, fuse_light, out_mask, result);
     tm.chunks = static_cast<int>(budget.chunks.size());
   } else {
     // Cost model + binned schedule (plan_ms).
     const ExecutionPlan plan =
-        make_plan(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light, tm);
+        make_plan(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light, out_mask, tm);
 
     // Step 2: per-tile symbolic -> nnz, row pointers, masks (and, under the
     // fused plan, staged values for light tiles).
@@ -448,7 +473,7 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     {
       ScopedAccumulator scope(tm.step2_ms);
       TSG_TRACE_SPAN("step2", ws.structure.num_tiles());
-      symbolic = step2_symbolic(a, b, ws.b_csc, ws.structure, cfg_.options, ws, plan);
+      symbolic = step2_symbolic<T, S>(a, b, ws.b_csc, ws.structure, cfg_.options, ws, plan);
     }
     // Stage boundary: a tile skipped by a tripped token left a hole in the
     // symbolic result — bail out before C is allocated from it.
@@ -456,7 +481,8 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     check_cancelled();
     tm.fused_tiles = symbolic.fused_tiles;
 
-    // Allocate C (the only sizeable allocation of the whole algorithm).
+    // Allocate C (the only sizeable allocation of the whole algorithm). Its
+    // tile_ptr / tile_col_idx are moved out of the workspace after step 3.
     TileMatrix<T>& c = result.c;
     {
       ScopedAccumulator scope(tm.alloc_ms);
@@ -465,8 +491,6 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
       c.cols = b.cols;
       c.tile_rows = ws.structure.tile_rows;
       c.tile_cols = ws.structure.tile_cols;
-      c.tile_ptr = ws.structure.tile_ptr;
-      c.tile_col_idx = ws.structure.tile_col_idx;
       c.tile_nnz = std::move(symbolic.tile_nnz);
       c.row_ptr = std::move(symbolic.row_ptr);
       c.mask = std::move(symbolic.mask);
@@ -480,12 +504,14 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", ws.structure.num_tiles());
-      step3_numeric(a, b, ws.b_csc, ws.structure, cfg_.options, c, ws, plan);
+      step3_numeric<T, S>(a, b, ws.b_csc, ws.structure, cfg_.options, c, ws, plan);
     }
     // Stage boundary: values of skipped tiles were never written — the
     // partial C must not be returned as a result.
     cancel_.note_progress();
     check_cancelled();
+    c.tile_ptr = std::move(ws.structure.tile_ptr);
+    c.tile_col_idx = std::move(ws.structure.tile_col_idx);
   }
   tm.workspace_bytes = workspace_bytes();
 
@@ -501,24 +527,23 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   return result;
 }
 
-template <class T>
+template <class T, class S>
 void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                 const std::vector<std::pair<index_t, index_t>>& chunks,
                                 SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                                TileSpgemmResult<T>& result) {
-  const TileStructure& st = ws.structure;
+                                const rowmask_t* out_mask, TileSpgemmResult<T>& result) {
+  TileStructure& st = ws.structure;
   TileSpgemmTimings& tm = result.timings;
   TileMatrix<T>& c = result.c;
 
-  // Assemble C's top level once; the low-level arrays grow chunk by chunk.
+  // Assemble C's top level once; the low-level arrays grow chunk by chunk,
+  // and tile_ptr / tile_col_idx are moved out of the workspace at the end.
   {
     ScopedAccumulator scope(tm.alloc_ms);
     c.rows = a.rows;
     c.cols = b.cols;
     c.tile_rows = st.tile_rows;
     c.tile_cols = st.tile_cols;
-    c.tile_ptr = st.tile_ptr;
-    c.tile_col_idx = st.tile_col_idx;
     const std::size_t ntiles = st.tile_col_idx.size();
     c.tile_nnz.clear();
     c.tile_nnz.reserve(ntiles + 1);
@@ -563,13 +588,14 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
     }
 
     const ExecutionPlan plan =
-        make_plan(a, ws.b_csc, chunk_st, ws, cache_pairs, fuse_light, tm);
+        make_plan(a, ws.b_csc, chunk_st, ws, cache_pairs, fuse_light,
+                  out_mask != nullptr ? out_mask + tlo * kTileDim : nullptr, tm);
 
     Step2Result symbolic;
     {
       ScopedAccumulator scope(tm.step2_ms);
       TSG_TRACE_SPAN("step2", chunk_st.num_tiles());
-      symbolic = step2_symbolic(a, b, ws.b_csc, chunk_st, cfg_.options, ws, plan);
+      symbolic = step2_symbolic<T, S>(a, b, ws.b_csc, chunk_st, cfg_.options, ws, plan);
     }
     check_cancelled();  // don't allocate this chunk's slice from a hole
     tm.fused_tiles += symbolic.fused_tiles;
@@ -592,7 +618,7 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", chunk_st.num_tiles());
-      step3_numeric(a, b, ws.b_csc, chunk_st, cfg_.options, cc, ws, plan);
+      step3_numeric<T, S>(a, b, ws.b_csc, chunk_st, cfg_.options, cc, ws, plan);
     }
     check_cancelled();  // don't stitch a chunk whose values have holes
 
@@ -612,16 +638,22 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
       c.val.insert(c.val.end(), cc.val.begin(), cc.val.end());
     }
   }
+  c.tile_ptr = std::move(st.tile_ptr);
+  c.tile_col_idx = std::move(st.tile_col_idx);
 }
 
-template <class T>
-Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
-                                                     const TileMatrix<T>& b) {
+template <class T, class S>
+Expected<TileSpgemmResult<T>> SpgemmContext::try_run_impl(const TileMatrix<T>& a,
+                                                          const TileMatrix<T>& b,
+                                                          const TileMatrix<T>* mask) {
   if (a.cols != b.rows) {
     return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
                                       std::to_string(a.rows) + "x" + std::to_string(a.cols) +
                                       ", B is " + std::to_string(b.rows) + "x" +
                                       std::to_string(b.cols) + ")");
+  }
+  if (mask != nullptr && (mask->rows != a.rows || mask->cols != b.cols)) {
+    return Status::dimension_mismatch("spgemm: mask shape does not match A*B");
   }
   if (Status s = validate_tile_operand(a, "A", cfg_.validation, cfg_.nan_policy); !s.ok()) {
     return s;
@@ -629,8 +661,14 @@ Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
   if (Status s = validate_tile_operand(b, "B", cfg_.validation, cfg_.nan_policy); !s.ok()) {
     return s;
   }
+  if (mask != nullptr) {
+    if (Status s = validate_tile_operand(*mask, "mask", cfg_.validation, cfg_.nan_policy);
+        !s.ok()) {
+      return s;
+    }
+  }
   try {
-    return run_impl(a, b);
+    return run_impl<T, S>(a, b, mask);
   } catch (const Error& e) {
     return e.status();
   } catch (const std::bad_alloc&) {
@@ -641,8 +679,41 @@ Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
 }
 
 template <class T>
+Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
+                                                     const TileMatrix<T>& b) {
+  return try_run_impl<T, PlusTimes<T>>(a, b, nullptr);
+}
+
+template <class T>
 TileSpgemmResult<T> SpgemmContext::run(const TileMatrix<T>& a, const TileMatrix<T>& b) {
   return std::move(try_run(a, b)).value();
+}
+
+template <class S, class T>
+Expected<TileSpgemmResult<T>> SpgemmContext::try_run_semiring(const TileMatrix<T>& a,
+                                                              const TileMatrix<T>& b) {
+  return try_run_impl<T, S>(a, b, nullptr);
+}
+
+template <class S, class T>
+TileSpgemmResult<T> SpgemmContext::run_semiring(const TileMatrix<T>& a,
+                                                const TileMatrix<T>& b) {
+  return std::move(try_run_semiring<S>(a, b)).value();
+}
+
+template <class T>
+Expected<TileMatrix<T>> SpgemmContext::try_run_masked(const TileMatrix<T>& a,
+                                                      const TileMatrix<T>& b,
+                                                      const TileMatrix<T>& mask) {
+  Expected<TileSpgemmResult<T>> product = try_run_impl<T, PlusTimes<T>>(a, b, &mask);
+  if (!product.ok()) return product.status();
+  return std::move(product->c);
+}
+
+template <class T>
+TileMatrix<T> SpgemmContext::run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                        const TileMatrix<T>& mask) {
+  return std::move(try_run_masked(a, b, mask)).value();
 }
 
 template <class T>
@@ -741,7 +812,26 @@ template Csr<double> SpgemmContext::run_csr(const Csr<double>&, const Csr<double
                                             TileSpgemmTimings*);
 template Csr<float> SpgemmContext::run_csr(const Csr<float>&, const Csr<float>&,
                                            TileSpgemmTimings*);
+template Expected<TileMatrix<double>> SpgemmContext::try_run_masked(const TileMatrix<double>&,
+                                                                    const TileMatrix<double>&,
+                                                                    const TileMatrix<double>&);
+template Expected<TileMatrix<float>> SpgemmContext::try_run_masked(const TileMatrix<float>&,
+                                                                   const TileMatrix<float>&,
+                                                                   const TileMatrix<float>&);
+template TileMatrix<double> SpgemmContext::run_masked(const TileMatrix<double>&,
+                                                      const TileMatrix<double>&,
+                                                      const TileMatrix<double>&);
+template TileMatrix<float> SpgemmContext::run_masked(const TileMatrix<float>&,
+                                                     const TileMatrix<float>&,
+                                                     const TileMatrix<float>&);
 template TileMatrix<double> SpgemmContext::to_tile(const Csr<double>&);
 template TileMatrix<float> SpgemmContext::to_tile(const Csr<float>&);
+#define TSG_SEMIRING_INSTANTIATE(S, T)                                                      \
+  template Expected<TileSpgemmResult<T>> SpgemmContext::try_run_semiring<S, T>(            \
+      const TileMatrix<T>&, const TileMatrix<T>&);                                          \
+  template TileSpgemmResult<T> SpgemmContext::run_semiring<S, T>(const TileMatrix<T>&,     \
+                                                                 const TileMatrix<T>&);
+TSG_FOR_EACH_SEMIRING(TSG_SEMIRING_INSTANTIATE)
+#undef TSG_SEMIRING_INSTANTIATE
 
 }  // namespace tsg

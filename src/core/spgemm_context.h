@@ -13,11 +13,19 @@
 // Lifecycle:
 //
 //     Config::from_env() ── builder tweaks ──> SpgemmContext ctx(cfg)
-//           ctx.run(a, b)        tile in/out, timings + bin counters
-//           ctx.run_csr(a, b)    CSR in/out, conversion time in convert_ms
-//           ctx.run_aat(a)       A * A^T, transpose formed tile-natively
-//           ctx.run_masked(...)  C = (A*B) .* structure(M)
+//           ctx.run(a, b)             tile in/out, timings + bin counters
+//           ctx.run_csr(a, b)         CSR in/out, conversion time in convert_ms
+//           ctx.run_aat(a)            A * A^T, transpose formed tile-natively
+//           ctx.run_masked(a, b, m)   C = (A*B) .* structure(M)
+//           ctx.run_semiring<S>(a, b) C = A (x) B over a semiring of semiring.h
 //           ctx.workspace_bytes() / ctx.release_workspaces()
+//
+// All of them drive one pipeline (run_impl / run_chunked): step 1, budget
+// plan, binned schedule, step 2, C allocation, step 3. They differ only in
+// the step-1 source (the symbolic tile product, or the mask's tile
+// structure) and in the numeric semiring, so each inherits the same operand
+// validation, budget enforcement and chunked degradation, cancellation
+// polls, trace spans, run metrics and SIMD dispatch.
 //
 // Every run* entry point has a try_run* twin returning Expected<...>:
 // anticipated failures (bad operands, the modeled device budget with
@@ -37,8 +45,8 @@
 // TileSpgemmTimings::chunks / budget_limited report what happened.
 //
 // The free functions tile_spgemm() / spgemm_tile() / tile_spgemm_aat() /
-// tile_spgemm_masked() remain as thin wrappers that create a transient
-// context per call.
+// tile_spgemm_masked() / tile_spgemm_semiring() remain as thin wrappers that
+// create a transient context per call.
 //
 // Thread safety: a context is a single-caller object (like a cuSPARSE or
 // KokkosKernels handle). Concurrent run() calls on one context race on the
@@ -50,6 +58,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/semiring.h"
 #include "core/spgemm_workspace.h"
 #include "core/tile_spgemm.h"
 
@@ -216,9 +225,10 @@ class SpgemmContext {
   template <class T>
   Csr<T> run_csr(const Csr<T>& a, const Csr<T>& b, TileSpgemmTimings* timings = nullptr);
 
-  /// C = (A*B) .* structure(mask), Values from the product; entries outside
-  /// the mask's pattern are never computed. Defined in masked_spgemm.cpp.
-  /// Throwing twin: run_masked().
+  /// C = (A*B) .* structure(mask). C takes the mask's tile structure (tiles
+  /// the product leaves empty included); its values are bit-identical to the
+  /// plain product's on the mask's pattern, and entries outside that pattern
+  /// are never computed. Throwing twin: run_masked().
   template <class T>
   Expected<TileMatrix<T>> try_run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                          const TileMatrix<T>& mask);
@@ -226,6 +236,18 @@ class SpgemmContext {
   template <class T>
   TileMatrix<T> run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileMatrix<T>& mask);
+
+  /// C = A (x) B over semiring S: steps 1-2 as for try_run, step 3 reduces
+  /// combine(a, b) products from S::identity(). C has the structural
+  /// product's pattern (see semiring_spgemm.h). S = PlusTimes<T> is
+  /// bit-identical to try_run. Instantiated for TSG_FOR_EACH_SEMIRING
+  /// (semiring.h). Throwing twin: run_semiring().
+  template <class S, class T>
+  Expected<TileSpgemmResult<T>> try_run_semiring(const TileMatrix<T>& a,
+                                                 const TileMatrix<T>& b);
+  /// Throwing twin of try_run_semiring(): identical parameters.
+  template <class S, class T>
+  TileSpgemmResult<T> run_semiring(const TileMatrix<T>& a, const TileMatrix<T>& b);
 
   /// Convert through the context so the conversion cost is attributed to
   /// the next run()'s convert_ms instead of being re-timed by callers.
@@ -243,38 +265,42 @@ class SpgemmContext {
     ws_f_.release();
   }
 
-  /// Direct access to the pooled workspace of a value type — for kernel
-  /// extensions (semiring header) that drive steps 1-3 themselves.
+ private:
+  /// The pooled workspace of a value type.
   template <class T>
   SpgemmWorkspace<T>& workspace();
 
- private:
   /// Cost-binned schedule over the tiles of `structure` (the full step-1
   /// structure, or one chunk of it under budget degradation). `cache_pairs`
   /// and `fuse_light` are passed in rather than read from cfg_ because the
   /// budget planner may have dropped them for this run (recompute fallback).
+  /// `out_mask` is the output mask's row masks for these tiles, or null.
   template <class T>
   ExecutionPlan make_plan(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                           const TileStructure& structure, SpgemmWorkspace<T>& ws,
-                          bool cache_pairs, bool fuse_light, TileSpgemmTimings& tm);
+                          bool cache_pairs, bool fuse_light, const rowmask_t* out_mask,
+                          TileSpgemmTimings& tm);
 
-  /// The pipeline body shared by single-shot and chunked execution; throws
-  /// (bad_alloc, Error) rather than returning a Status — try_run converts.
-  template <class T>
-  TileSpgemmResult<T> run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b);
+  /// Every try_run* that multiplies tile operands: checks shapes, validates
+  /// A, B (and the mask, when given), and converts run_impl's exceptions.
+  template <class T, class S>
+  Expected<TileSpgemmResult<T>> try_run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                             const TileMatrix<T>* mask);
+
+  /// The pipeline body shared by single-shot and chunked execution, over
+  /// semiring S and with an optional output mask; throws (bad_alloc, Error)
+  /// rather than returning a Status — try_run_impl converts.
+  template <class T, class S>
+  TileSpgemmResult<T> run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                               const TileMatrix<T>* mask);
 
   /// Chunked degradation: executes steps 2-3 tile-row range by range and
   /// stitches the ranges into `result.c` (bit-identical to single-shot).
-  template <class T>
+  template <class T, class S>
   void run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const std::vector<std::pair<index_t, index_t>>& chunks,
                    SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                   TileSpgemmResult<T>& result);
-
-  /// Masked pipeline body (masked_spgemm.cpp); throws, try_run_masked converts.
-  template <class T>
-  TileMatrix<T> run_masked_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                const TileMatrix<T>& mask);
+                   const rowmask_t* out_mask, TileSpgemmResult<T>& result);
 
   /// Raise kCancelled/kDeadlineExceeded when the active token tripped —
   /// the serial pipeline layer's check (parallel bodies only skip).

@@ -98,7 +98,11 @@ struct ExecutionPlan {
   /// light tile costs less than staging and reloading its pairs, so only
   /// bins >= cache_min_bin record pairs; the rest keep the paper's
   /// recompute policy. Results are bit-identical either way.
-  const offset_t* tile_bin = nullptr;
+  const std::uint8_t* tile_bin = nullptr;
+  /// Output mask M's 16 row masks per tile, indexed like C's (offset to the
+  /// chunk's first tile), or null for an unmasked product. Step 2 ANDs them
+  /// into C's symbolic masks; steps 2 and 3 then skip products outside.
+  const rowmask_t* out_mask = nullptr;
   bool cache_pairs = false;         ///< record matched pairs for step 3
   int cache_min_bin = 0;            ///< lowest cost bin that caches pairs
   bool fuse_light = false;          ///< fuse step 3 into step 2 for light tiles
@@ -122,7 +126,7 @@ struct ExecutionPlan {
   bool caches_tile(offset_t t) const {
     return cache_pairs &&
            (tile_bin == nullptr ||
-            tile_bin[static_cast<std::size_t>(t)] >= static_cast<offset_t>(cache_min_bin));
+            tile_bin[static_cast<std::size_t>(t)] >= cache_min_bin);
   }
 
   /// Whether tile `t` (with `nnz` symbolic nonzeros) runs the fused
@@ -130,7 +134,7 @@ struct ExecutionPlan {
   bool fuses_tile(offset_t t, index_t nnz) const {
     if (!fuse_light || nnz <= 0) return false;
     if (tile_bin != nullptr) {
-      return tile_bin[static_cast<std::size_t>(t)] <= static_cast<offset_t>(fuse_max_bin);
+      return tile_bin[static_cast<std::size_t>(t)] <= fuse_max_bin;
     }
     return nnz <= fuse_threshold;
   }
@@ -165,9 +169,11 @@ struct SpgemmWorkspace {
                 "the fused path stages at most one full tile of values");
 
   TileLayoutCsc b_csc;        ///< column-major view of B's tile layout
-  TileStructure structure;    ///< step-1 tile structure of C
+  /// Step-1 tile structure of C; its tile_ptr and tile_col_idx are moved
+  /// into C once step 3 is done, so the next call re-grows them.
+  TileStructure structure;
   std::vector<std::vector<index_t>> step1_rows;  ///< step-1 per-tile-row columns
-  tracked_vector<offset_t> cost_bin;  ///< per-tile cost bin (scheduler scratch)
+  tracked_vector<std::uint8_t> cost_bin;  ///< per-tile cost bin 0..3 (scheduler scratch)
   tracked_vector<offset_t> schedule;  ///< binned visit order over C tiles
   tracked_vector<detail::TileSlot> pair_slot;    ///< per tile, iff cache_pairs
   tracked_vector<detail::TileSlot> staged_slot;  ///< per tile, iff fuse_light

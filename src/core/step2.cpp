@@ -18,7 +18,7 @@ namespace tsg {
 // the synthetic suite (see docs/PERFORMANCE.md).
 inline constexpr index_t kPackedGatherMaxNnz = 2 * kTileDim;
 
-template <class T>
+template <class T, class S>
 Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileLayoutCsc& b_csc, const TileStructure& structure,
                            const TileSpgemmOptions& options, SpgemmWorkspace<T>& ws,
@@ -46,6 +46,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
   const simd::SymbolicOps* vec =
       lvl >= simd::Level::kAvx2 ? &simd::symbolic_ops(lvl) : nullptr;
   const simd::NumericOps& nops = simd::numeric_ops(lvl);
+  const bool masked = plan.out_mask != nullptr;
 
   // Per-tile detail instruments, resolved once per call. The gate is read
   // once here: flipping it mid-run only affects the next call.
@@ -152,6 +153,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
       }
       for (int wi = 0; wi < kTileMaskWords; ++wi) {
         cm[wi] |= pack_rowmask_word(gather + wi * kRowsPerMaskWord);
+        if (masked) cm[wi] &= pack_rowmask_word(plan.out_mask + base + wi * kRowsPerMaskWord);
       }
       // Derivation into the locals (empty tiles skip it — the global
       // arrays start zeroed). AVX levels use the table's vector kernel;
@@ -179,8 +181,9 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
         rp_src = rp_loc;
       }
     } else {
-      // Reference per-bit path (SymbolicKernel::kScalar), kept verbatim as
-      // the A/B oracle and the regression bench's speedup denominator.
+      // Reference per-bit path (SymbolicKernel::kScalar), kept as the A/B
+      // oracle and the regression bench's speedup denominator; the output
+      // mask is ANDed per row, as the packed path does per word.
       rowmask_t mask_c[kTileDim] = {};
       for (const MatchedPair& p : pairs) {
         const rowmask_t* mask_b = b.tile_mask(p.tile_b);
@@ -192,6 +195,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
         }
       }
       for (index_t r = 0; r < kTileDim; ++r) {
+        if (masked) mask_c[r] = static_cast<rowmask_t>(mask_c[r] & plan.out_mask[base + r]);
         row_ptr_out[r] = static_cast<std::uint8_t>(count);
         mask_out[r] = mask_c[r];
         count += popcount16(mask_c[r]);
@@ -211,9 +215,12 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
       // buffer; step 3 only copies them to their final home.
       const std::size_t at = slot.staged.size();
       slot.staged.resize(at + static_cast<std::size_t>(count));
-      const bool dense = detail::accumulate_tile(a, b, pairs.data(), pairs.size(), mask_src,
-                                                 rp_src, count, options, nops,
-                                                 slot.staged.data() + at);
+      T* staged = slot.staged.data() + at;
+      const bool dense =
+          masked ? detail::accumulate_tile<S, true>(a, b, pairs.data(), pairs.size(), mask_src,
+                                                    rp_src, count, options, nops, staged)
+                 : detail::accumulate_tile<S, false>(a, b, pairs.data(), pairs.size(), mask_src,
+                                                     rp_src, count, options, nops, staged);
       if (detail_metrics) (dense ? m_fused_dense : m_fused_sparse).inc();
       ws.staged_slot[static_cast<std::size_t>(t)] = {static_cast<std::uint32_t>(tid),
                                                      static_cast<offset_t>(at),
@@ -243,13 +250,12 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
   return out;
 }
 
-template Step2Result step2_symbolic(const TileMatrix<double>&, const TileMatrix<double>&,
-                                    const TileLayoutCsc&, const TileStructure&,
-                                    const TileSpgemmOptions&, SpgemmWorkspace<double>&,
-                                    const ExecutionPlan&);
-template Step2Result step2_symbolic(const TileMatrix<float>&, const TileMatrix<float>&,
-                                    const TileLayoutCsc&, const TileStructure&,
-                                    const TileSpgemmOptions&, SpgemmWorkspace<float>&,
-                                    const ExecutionPlan&);
+#define TSG_STEP2_INSTANTIATE(S, T)                                                        \
+  template Step2Result step2_symbolic<T, S>(const TileMatrix<T>&, const TileMatrix<T>&,    \
+                                            const TileLayoutCsc&, const TileStructure&,    \
+                                            const TileSpgemmOptions&, SpgemmWorkspace<T>&, \
+                                            const ExecutionPlan&);
+TSG_FOR_EACH_SEMIRING(TSG_STEP2_INSTANTIATE)
+#undef TSG_STEP2_INSTANTIATE
 
 }  // namespace tsg

@@ -7,14 +7,16 @@
 //
 // Under an ExecutionPlan the pass can also (a) visit tiles in the binned
 // heavy-first order, (b) record each tile's matched pairs in the workspace
-// pair cache for step 3, and (c) fuse the numeric phase for light tiles:
-// once a tile's masks are known its values are accumulated immediately and
-// staged in the workspace, so step 3 only copies them out.
+// pair cache for step 3, (c) fuse the numeric phase for light tiles: once a
+// tile's masks are known its values are accumulated (over semiring S)
+// immediately and staged in the workspace, so step 3 only copies them out,
+// and (d) AND an output mask into C's masks before they are derived.
 #pragma once
 
 #include <cstdint>
 
 #include "core/options.h"
+#include "core/semiring.h"
 #include "core/step1.h"
 
 namespace tsg {
@@ -38,20 +40,12 @@ struct Step2Result {
 /// Symbolic per-tile pass. `b_csc` is the column-major view of B's tile
 /// layout (tileColPtr_B / tileRowidx_B in Algorithm 2). Pair-cache and
 /// fused-value records land in `ws`; `plan` controls visit order, caching,
-/// and fusion.
-template <class T>
+/// fusion and the output mask. S only matters to fused tiles. Instantiated
+/// in step2.cpp for TSG_FOR_EACH_SEMIRING.
+template <class T, class S = PlusTimes<T>>
 Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileLayoutCsc& b_csc, const TileStructure& structure,
                            const TileSpgemmOptions& options, SpgemmWorkspace<T>& ws,
                            const ExecutionPlan& plan);
-
-extern template Step2Result step2_symbolic(const TileMatrix<double>&, const TileMatrix<double>&,
-                                           const TileLayoutCsc&, const TileStructure&,
-                                           const TileSpgemmOptions&, SpgemmWorkspace<double>&,
-                                           const ExecutionPlan&);
-extern template Step2Result step2_symbolic(const TileMatrix<float>&, const TileMatrix<float>&,
-                                           const TileLayoutCsc&, const TileStructure&,
-                                           const TileSpgemmOptions&, SpgemmWorkspace<float>&,
-                                           const ExecutionPlan&);
 
 }  // namespace tsg

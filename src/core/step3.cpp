@@ -11,7 +11,7 @@
 
 namespace tsg {
 
-template <class T>
+template <class T, class S>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,
                    const TileSpgemmOptions& options, TileMatrix<T>& c,
@@ -115,22 +115,25 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
     }
 
     // Accumulate straight into the tile's nnz_c values of C. The sparse
-    // path zeroes only those; the dense path zeroes only the accumulator
-    // rows that hold an output nonzero (see accumulate_pairs_dense).
-    const bool dense = detail::accumulate_tile(a, b, pair_data, pair_count, mask_c, row_ptr_c,
-                                               nnz_c, options, nops,
-                                               c.val.data() + nz_base);
+    // path fills only those; the dense path zeroes only the accumulator
+    // rows it needs (see accumulate_pairs_dense).
+    T* out = c.val.data() + nz_base;
+    const bool dense =
+        plan.out_mask != nullptr
+            ? detail::accumulate_tile<S, true>(a, b, pair_data, pair_count, mask_c, row_ptr_c,
+                                               nnz_c, options, nops, out)
+            : detail::accumulate_tile<S, false>(a, b, pair_data, pair_count, mask_c, row_ptr_c,
+                                                nnz_c, options, nops, out);
     if (detail_metrics) (dense ? m_dense : m_sparse).inc();
   });
 }
 
-template void step3_numeric(const TileMatrix<double>&, const TileMatrix<double>&,
-                            const TileLayoutCsc&, const TileStructure&,
-                            const TileSpgemmOptions&, TileMatrix<double>&,
-                            SpgemmWorkspace<double>&, const ExecutionPlan&);
-template void step3_numeric(const TileMatrix<float>&, const TileMatrix<float>&,
-                            const TileLayoutCsc&, const TileStructure&,
-                            const TileSpgemmOptions&, TileMatrix<float>&,
-                            SpgemmWorkspace<float>&, const ExecutionPlan&);
+#define TSG_STEP3_INSTANTIATE(S, T)                                                         \
+  template void step3_numeric<T, S>(const TileMatrix<T>&, const TileMatrix<T>&,             \
+                                    const TileLayoutCsc&, const TileStructure&,             \
+                                    const TileSpgemmOptions&, TileMatrix<T>&,               \
+                                    SpgemmWorkspace<T>&, const ExecutionPlan&);
+TSG_FOR_EACH_SEMIRING(TSG_STEP3_INSTANTIATE)
+#undef TSG_STEP3_INSTANTIATE
 
 }  // namespace tsg

@@ -13,7 +13,9 @@
 // When the ExecutionPlan enabled the pair cache, step 2 left each tile's
 // matched pairs in the workspace and this pass skips the re-intersection;
 // when it enabled fusion, light tiles arrive with their values already
-// staged and only need copying into place.
+// staged and only need copying into place. Under an output mask, products
+// outside C's (mask-ANDed) row masks are skipped. Over a semiring other
+// than plus-times, every tile takes the generic sparse accumulator.
 #pragma once
 
 #include "core/step2.h"
@@ -24,20 +26,12 @@ namespace tsg {
 /// `c` must already carry its high-level structure and the step-2 results;
 /// see spgemm_context.cpp for the assembly. `ws` holds the per-thread
 /// intersection scratch plus any pair-cache / staged-value records written
-/// by step 2 under the same plan.
-template <class T>
+/// by step 2 under the same plan. Instantiated in step3.cpp for
+/// TSG_FOR_EACH_SEMIRING.
+template <class T, class S = PlusTimes<T>>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,
                    const TileSpgemmOptions& options, TileMatrix<T>& c,
                    SpgemmWorkspace<T>& ws, const ExecutionPlan& plan);
-
-extern template void step3_numeric(const TileMatrix<double>&, const TileMatrix<double>&,
-                                   const TileLayoutCsc&, const TileStructure&,
-                                   const TileSpgemmOptions&, TileMatrix<double>&,
-                                   SpgemmWorkspace<double>&, const ExecutionPlan&);
-extern template void step3_numeric(const TileMatrix<float>&, const TileMatrix<float>&,
-                                   const TileLayoutCsc&, const TileStructure&,
-                                   const TileSpgemmOptions&, TileMatrix<float>&,
-                                   SpgemmWorkspace<float>&, const ExecutionPlan&);
 
 }  // namespace tsg

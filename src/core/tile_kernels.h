@@ -1,26 +1,37 @@
-// Per-tile numeric kernels shared by step 3, the fused step-2+3 path, and
-// the masked/semiring variants. Each kernel works on one output tile whose
-// symbolic structure (16 row masks + local row pointers) is already known;
-// all state fits in registers / L1, mirroring the paper's warp-local
-// accumulation (Algorithm 3).
+// Per-tile numeric kernels shared by step 3 and the fused step-2+3 path,
+// for plain, masked and semiring products alike. Each kernel works on one
+// output tile whose symbolic structure (16 row masks + local row pointers)
+// is already known; all state fits in registers / L1, mirroring the paper's
+// warp-local accumulation (Algorithm 3).
+//
+// Two compile-time parameters cover every product the engine runs:
+//   * S, the semiring (semiring.h). PlusTimes<T> takes the dispatched
+//     sparse/dense kernels; any other semiring takes the generic sparse
+//     accumulator (identity fill, then reduce(slot, combine(va, vb))).
+//   * kMasked, set when an output mask was ANDed into the tile's row masks
+//     in step 2. Those masks are then no longer the OR of B's rows, so
+//     products outside them must be skipped rather than scattered.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/intersect.h"
+#include "core/semiring.h"
 #include "core/simd_dispatch.h"
 #include "core/tile_format.h"
 
 namespace tsg {
 namespace detail {
 
-/// Scatter the products of all matched pairs into `slots` via popcount-rank
+/// Reduce the products of all matched pairs into `slots` via popcount-rank
 /// indexing (Algorithm 3 lines 4-12): the final position of column cb in
-/// C's local row r is row_ptr[r] + rank of cb in mask[r].
-template <class T>
+/// C's local row r is row_ptr[r] + rank of cb in mask[r]. For PlusTimes the
+/// reduce(slot, combine(va, vb)) below is exactly `slot += va * vb`.
+template <class S, bool kMasked, class T>
 inline void accumulate_pairs_sparse(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                     const MatchedPair* pairs, std::size_t pair_count,
                                     const rowmask_t* mask_c, const std::uint8_t* row_ptr_c,
@@ -39,10 +50,13 @@ inline void accumulate_pairs_sparse(const TileMatrix<T>& a, const TileMatrix<T>&
       b.tile_row_range(p.tile_b, col_a, lo, hi);
       const std::uint8_t base = row_ptr_c[r];
       const rowmask_t m = mask_c[r];
+      if (kMasked && m == 0) continue;  // whole output row masked away
       for (index_t kb = lo; kb < hi; ++kb) {
         const std::size_t gb = static_cast<std::size_t>(b_nz + kb);
         const index_t cb = b.col_idx[gb];
-        slots[base + mask_rank(m, cb)] += va * b.val[gb];
+        if (kMasked && (m & bit_of(cb)) == 0) continue;  // outside the mask
+        T& slot = slots[base + mask_rank(m, cb)];
+        slot = S::reduce(slot, S::combine(va, b.val[gb]));
       }
     }
   }
@@ -62,19 +76,27 @@ inline simd::PairTiles<T> pair_tiles(const TileMatrix<T>& a, const TileMatrix<T>
 
 /// Accumulate into a dense 16x16 scratch tile through the dispatched
 /// per-pair kernel, then compress through the mask (Algorithm 3 lines
-/// 13-17). Only rows that hold an output nonzero are zeroed: no product
-/// lands anywhere else, and the compress reads nothing else. Every level's
+/// 13-17). Unmasked, only rows that hold an output nonzero are zeroed: no
+/// product lands anywhere else, and the compress reads nothing else. Masked,
+/// products also land in rows the mask emptied, so all 16 rows are zeroed;
+/// lanes outside the mask are computed but never compressed. Every level's
 /// kernel keeps the oracle's per-entry order (see simd::NumericOps), which
 /// is what keeps every simd::Level bit-identical. `out` needs capacity
 /// kTileNnzMax unless nops.compress_exact.
-template <class T>
+template <bool kMasked, class T>
 inline void accumulate_pairs_dense(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                    const MatchedPair* pairs, std::size_t pair_count,
                                    const rowmask_t* mask_c, T* out,
                                    const simd::NumericOps& nops) {
   alignas(64) T acc[kTileNnzMax];
-  for (index_t r = 0; r < kTileDim; ++r) {
-    if (mask_c[r] != 0) std::fill_n(acc + static_cast<std::size_t>(r) * kTileDim, kTileDim, T{});
+  if (kMasked) {
+    std::fill_n(acc, kTileNnzMax, T{});
+  } else {
+    for (index_t r = 0; r < kTileDim; ++r) {
+      if (mask_c[r] != 0) {
+        std::fill_n(acc + static_cast<std::size_t>(r) * kTileDim, kTileDim, T{});
+      }
+    }
   }
   for (std::size_t pi = 0; pi < pair_count; ++pi) {
     simd::accumulate_pair<T>(nops, pair_tiles(a, b, pairs[pi]), acc);
@@ -95,26 +117,27 @@ inline bool use_dense_accumulator(const TileSpgemmOptions& options, index_t nnz_
          (options.accumulator == AccumulatorPolicy::kAdaptive && nnz_c > options.tnnz);
 }
 
-/// Accumulate one output tile's nnz_c values into `out` with the
-/// accumulator the options pick; returns whether that was the dense one.
+/// Accumulate one output tile's nnz_c values into `out` over semiring S;
+/// returns whether the dense accumulator ran. PlusTimes takes the one the
+/// options pick; other semirings always take the generic sparse one.
 /// `out` may point into C's shared values: the dense path bounces through a
 /// local scratch when the level's compress over-stores.
-template <class T>
+template <class S, bool kMasked, class T>
 inline bool accumulate_tile(const TileMatrix<T>& a, const TileMatrix<T>& b,
                             const MatchedPair* pairs, std::size_t pair_count,
                             const rowmask_t* mask_c, const std::uint8_t* row_ptr_c,
                             index_t nnz_c, const TileSpgemmOptions& options,
                             const simd::NumericOps& nops, T* out) {
-  if (!use_dense_accumulator(options, nnz_c)) {
-    std::fill_n(out, nnz_c, T{});
-    accumulate_pairs_sparse(a, b, pairs, pair_count, mask_c, row_ptr_c, out);
+  if (!std::is_same_v<S, PlusTimes<T>> || !use_dense_accumulator(options, nnz_c)) {
+    std::fill_n(out, nnz_c, S::identity());
+    accumulate_pairs_sparse<S, kMasked>(a, b, pairs, pair_count, mask_c, row_ptr_c, out);
     return false;
   }
   if (nops.compress_exact) {
-    accumulate_pairs_dense(a, b, pairs, pair_count, mask_c, out, nops);
+    accumulate_pairs_dense<kMasked>(a, b, pairs, pair_count, mask_c, out, nops);
   } else {
     T scratch[kTileNnzMax];
-    accumulate_pairs_dense(a, b, pairs, pair_count, mask_c, scratch, nops);
+    accumulate_pairs_dense<kMasked>(a, b, pairs, pair_count, mask_c, scratch, nops);
     std::copy_n(scratch, nnz_c, out);
   }
   return true;

@@ -9,8 +9,10 @@
 #include <cstdlib>
 
 #include "baselines/esc.h"
+#include "core/semiring.h"
 #include "core/spgemm_context.h"
 #include "matrix/convert.h"
+#include "obs/metrics.h"
 #include "baselines/hash.h"
 #include "baselines/spa.h"
 #include "baselines/speck.h"
@@ -185,6 +187,57 @@ TEST(DeviceBudget, SpgemmTileDegradesUnderTheEnvironmentBudget) {
   EXPECT_TRUE(res.timings.budget_limited);
   EXPECT_GE(res.timings.chunks, 2);
   expect_tile_bit_identical(gold, res.c);
+}
+
+// --- The masked and semiring entry points run the same pipeline, so the
+// same budget enforcement and degradation apply to them. ---
+
+TEST(DeviceBudget, MaskedAndSemiringReturnBudgetExceeded) {
+  BudgetOverrideGuard guard;
+  const TileMatrix<double> ta = csr_to_tile(chunking_workload());
+  SpgemmContext ctx(SpgemmContext::Config{}.with_device_mem_mb(1).with_degradation(false));
+  EXPECT_EQ(ctx.try_run_masked(ta, ta, ta).status().code(), StatusCode::kBudgetExceeded);
+  EXPECT_EQ(ctx.try_run_semiring<MinPlus<double>>(ta, ta).status().code(),
+            StatusCode::kBudgetExceeded);
+  try {
+    (void)ctx.run_semiring<MinPlus<double>>(ta, ta);
+    FAIL() << "run_semiring() should throw under a too-small budget with degradation off";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kBudgetExceeded);
+  }
+}
+
+TEST(DeviceBudget, MaskedChunkedIsBitIdenticalToSingleShot) {
+  BudgetOverrideGuard guard;
+  const TileMatrix<double> ta = csr_to_tile(chunking_workload());
+  SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
+  const TileMatrix<double> gold = roomy.run_masked(ta, ta, ta);
+
+  // try_run_masked returns the matrix only; the run's chunk count is on the
+  // always-on spgemm.chunks counter.
+  const obs::Counter& chunks = obs::MetricsRegistry::instance().counter("spgemm.chunks");
+  SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(1));
+  const std::int64_t before = chunks.value();
+  Expected<TileMatrix<double>> run = squeezed.try_run_masked(ta, ta, ta);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  EXPECT_GT(chunks.value() - before, 1);
+  expect_tile_bit_identical(gold, *run);
+  EXPECT_EQ(gold.mask, run->mask);
+}
+
+TEST(DeviceBudget, SemiringChunkedIsBitIdenticalToSingleShot) {
+  BudgetOverrideGuard guard;
+  const TileMatrix<double> ta = csr_to_tile(chunking_workload());
+  SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
+  const TileSpgemmResult<double> gold = roomy.run_semiring<MinPlus<double>>(ta, ta);
+  EXPECT_EQ(gold.timings.chunks, 1);
+
+  SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(1));
+  Expected<TileSpgemmResult<double>> run = squeezed.try_run_semiring<MinPlus<double>>(ta, ta);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  EXPECT_TRUE(run->timings.budget_limited);
+  EXPECT_GT(run->timings.chunks, 1);
+  expect_tile_bit_identical(gold.c, run->c);
 }
 
 }  // namespace

@@ -223,8 +223,16 @@ TEST(FaultInjection, MaskedAndCsrPathsSurfaceStatusToo) {
     ASSERT_FALSE(csr.ok());
     EXPECT_EQ(csr.status().code(), StatusCode::kAllocationFailed);
   }
-  // Both failures behind us: the context still multiplies.
+  {
+    FaultInjectionScope scope(plan);
+    Expected<TileSpgemmResult<double>> semiring = ctx.try_run_semiring<MinPlus<double>>(ta, ta);
+    ASSERT_FALSE(semiring.ok());
+    EXPECT_EQ(semiring.status().code(), StatusCode::kAllocationFailed);
+  }
+  // All failures behind us: the context still multiplies.
   EXPECT_TRUE(ctx.try_run(ta, ta).ok());
+  EXPECT_TRUE(ctx.try_run_masked(ta, ta, ta).ok());
+  EXPECT_TRUE(ctx.try_run_semiring<MinPlus<double>>(ta, ta).ok());
 }
 
 }  // namespace

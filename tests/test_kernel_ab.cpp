@@ -1,21 +1,28 @@
-// A/B bit-identity contracts for the PR-5 hot-path kernels: the word-packed
-// step-2 symbolic kernel vs the scalar reference, and the matched-pair cache
+// A/B bit-identity contracts for the hot-path kernels: the word-packed
+// step-2 symbolic kernel vs the scalar reference, the matched-pair cache
 // (per cost bin, and dropped under a tight device budget) vs the paper's
-// recompute policy. "Bit-identical" means every array of the produced
-// TileMatrix — structure and values — compares equal byte-for-byte; the
+// recompute policy, and the masked and semiring products vs the plain one
+// at every SIMD level. "Bit-identical" means every array of the produced
+// matrix — structure and values — compares equal byte-for-byte; the
 // optimisations only reorder *reads*, never the accumulation order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "common/memory.h"
 #include "common/random.h"
+#include "core/semiring_spgemm.h"
 #include "core/spgemm_context.h"
 #include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
 #include "gen/generators.h"
 #include "matrix/convert.h"
+#include "obs/metrics.h"
 #include "test_support.h"
 
 namespace tsg {
@@ -30,9 +37,10 @@ void expect_bytes_equal(const tracked_vector<V>& x, const tracked_vector<V>& y,
   }
 }
 
-/// Bit-exact TileMatrix equality, including the double payload (memcmp, not
+/// Bit-exact TileMatrix equality, including the value payload (memcmp, not
 /// tolerance compare: the A/B paths must not change even one ulp).
-void expect_tiles_identical(const TileMatrix<double>& x, const TileMatrix<double>& y,
+template <class T>
+void expect_tiles_identical(const TileMatrix<T>& x, const TileMatrix<T>& y,
                             const std::string& context) {
   SCOPED_TRACE(context);
   ASSERT_EQ(x.rows, y.rows);
@@ -171,6 +179,162 @@ TEST(PairCacheAb, ChunkedFuzzStaysBitExact) {
         SpgemmContext::Config{}.with_pair_cache(true).with_device_mem_mb(1));
     expect_tiles_identical(gold, squeezed.run(t, t).c, "seed " + std::to_string(seed));
   }
+}
+
+// ------------------------------------- masked and semiring vs plain product --
+
+using test::accumulator_routes;
+using test::available_levels;
+
+template <class T>
+void expect_csr_identical(const Csr<T>& x, const Csr<T>& y, const std::string& context) {
+  SCOPED_TRACE(context);
+  ASSERT_EQ(x.rows, y.rows);
+  ASSERT_EQ(x.cols, y.cols);
+  expect_bytes_equal(x.row_ptr, y.row_ptr, "row_ptr");
+  expect_bytes_equal(x.col_idx, y.col_idx, "col_idx");
+  expect_bytes_equal(x.val, y.val, "val");
+}
+
+/// C = (A*B) .* M where the plain product A*B carries NaN/Inf that M keeps
+/// out: A's rows in `poison` and B's columns in `poison` hold NaN, +Inf and
+/// -Inf, and M excludes those rows and columns. M also drops every third
+/// remaining product entry (partial tiles and rows) and adds positions the
+/// product never reaches (they must not appear in C).
+template <class T>
+struct MaskedCase {
+  Csr<T> a, b, m;
+  Csr<T> plain;  ///< A*B, scalar level, single shot
+};
+
+template <class T>
+MaskedCase<T> masked_case(std::uint64_t seed) {
+  const T specials[] = {std::numeric_limits<T>::quiet_NaN(), std::numeric_limits<T>::infinity(),
+                        -std::numeric_limits<T>::infinity()};
+  MaskedCase<T> mc;
+  mc.a = gen::cast_values<T>(gen::rmat(9, 8.0, seed));
+  mc.b = mc.a;
+  const index_t n = mc.a.rows;
+  auto poisoned = [&](index_t x) { return x % 37 == 5; };
+  for (index_t i = 0; i < n; ++i) {
+    for (offset_t g = mc.a.row_ptr[i]; g < mc.a.row_ptr[i + 1]; ++g) {
+      const auto k = static_cast<std::size_t>(g);
+      if (poisoned(i)) mc.a.val[k] = specials[k % 3];
+      if (poisoned(mc.b.col_idx[k])) mc.b.val[k] = specials[(k + 1) % 3];
+    }
+  }
+  SpgemmContext gold(
+      SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar).with_device_mem_mb(4096));
+  mc.plain = gold.run_csr(mc.a, mc.b);
+
+  mc.m = Csr<T>(n, n);
+  std::vector<index_t> cols;
+  for (index_t i = 0; i < n; ++i) {
+    cols.clear();
+    if (!poisoned(i)) {
+      for (offset_t g = mc.plain.row_ptr[i]; g < mc.plain.row_ptr[i + 1]; ++g) {
+        const index_t j = mc.plain.col_idx[static_cast<std::size_t>(g)];
+        if (!poisoned(j) && g % 3 != 0) cols.push_back(j);
+      }
+      const index_t extra = (i * 7 + 3) % n;
+      const auto row_begin = mc.plain.col_idx.begin() + mc.plain.row_ptr[i];
+      const auto row_end = mc.plain.col_idx.begin() + mc.plain.row_ptr[i + 1];
+      if (!poisoned(extra) && std::find(row_begin, row_end, extra) == row_end) {
+        cols.push_back(extra);
+      }
+      std::sort(cols.begin(), cols.end());
+    }
+    for (index_t j : cols) {
+      mc.m.col_idx.push_back(j);
+      mc.m.val.push_back(T{1});
+    }
+    mc.m.row_ptr[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(mc.m.col_idx.size());
+  }
+  return mc;
+}
+
+/// C must hold exactly the plain product's entries on M's pattern, with
+/// memcmp-equal values, and nothing non-finite.
+template <class T>
+void expect_masked_matches_plain(const MaskedCase<T>& mc, const Csr<T>& c,
+                                 const std::string& context) {
+  SCOPED_TRACE(context);
+  ASSERT_EQ(c.rows, mc.plain.rows);
+  ASSERT_EQ(c.cols, mc.plain.cols);
+  for (index_t i = 0; i < c.rows; ++i) {
+    std::vector<std::size_t> want;  // positions in mc.plain
+    offset_t p = mc.plain.row_ptr[i];
+    for (offset_t q = mc.m.row_ptr[i]; q < mc.m.row_ptr[i + 1]; ++q) {
+      const index_t j = mc.m.col_idx[static_cast<std::size_t>(q)];
+      while (p < mc.plain.row_ptr[i + 1] && mc.plain.col_idx[static_cast<std::size_t>(p)] < j) ++p;
+      if (p < mc.plain.row_ptr[i + 1] && mc.plain.col_idx[static_cast<std::size_t>(p)] == j) {
+        want.push_back(static_cast<std::size_t>(p));
+      }
+    }
+    ASSERT_EQ(static_cast<std::size_t>(c.row_nnz(i)), want.size()) << "row " << i;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const auto g = static_cast<std::size_t>(c.row_ptr[i]) + k;
+      ASSERT_EQ(c.col_idx[g], mc.plain.col_idx[want[k]]) << "row " << i;
+      ASSERT_TRUE(std::isfinite(c.val[g])) << "row " << i << " col " << c.col_idx[g];
+      ASSERT_EQ(std::memcmp(&c.val[g], &mc.plain.val[want[k]], sizeof(T)), 0)
+          << "row " << i << " col " << c.col_idx[g];
+    }
+  }
+}
+
+/// Every level x route x {single shot, 1 MB forced chunks}.
+template <class T>
+void expect_masked_sweep_matches_plain(std::uint64_t seed) {
+  BudgetOverrideGuard guard;
+  const MaskedCase<T> mc = masked_case<T>(seed);
+  ASSERT_GT(mc.m.nnz(), 0);
+  const TileMatrix<T> ta = csr_to_tile(mc.a);
+  const TileMatrix<T> tb = csr_to_tile(mc.b);
+  const TileMatrix<T> tm = csr_to_tile(mc.m);
+  obs::Counter& chunks = obs::MetricsRegistry::instance().counter("spgemm.chunks");
+  for (const simd::Level level : available_levels()) {
+    for (const test::Route& route : accumulator_routes(level)) {
+      for (const std::size_t mb : {std::size_t{4096}, std::size_t{1}}) {
+        const std::string what = std::string(simd::level_name(level)) + " " + route.name +
+                                 (mb == 1 ? " chunked" : " single-shot");
+        SpgemmContext ctx(SpgemmContext::Config(route.config).with_device_mem_mb(mb));
+        const std::int64_t chunks_before = chunks.value();
+        Expected<TileMatrix<T>> c = ctx.try_run_masked(ta, tb, tm);
+        ASSERT_TRUE(c.ok()) << what << ": " << c.status().to_string();
+        if (mb == 1) {
+          EXPECT_GE(chunks.value() - chunks_before, 2) << what << ": 1 MB did not chunk";
+        }
+        expect_masked_matches_plain(mc, tile_to_csr(*c), what);
+      }
+    }
+  }
+}
+
+TEST(MaskedAb, MaskedEqualsPlainOnMaskPatternDouble) {
+  expect_masked_sweep_matches_plain<double>(9401);
+}
+
+TEST(MaskedAb, MaskedEqualsPlainOnMaskPatternFloat) {
+  expect_masked_sweep_matches_plain<float>(9402);
+}
+
+/// The plus-times semiring runs the plain product's dispatched kernels.
+template <class T>
+void expect_plus_times_matches_run_csr(const Csr<T>& a) {
+  for (const simd::Level level : available_levels()) {
+    for (const test::Route& route : accumulator_routes(level)) {
+      SpgemmContext ctx(route.config);
+      expect_csr_identical(ctx.run_csr(a, a),
+                           spgemm_semiring<PlusTimes<T>>(a, a, route.config.options),
+                           std::string(simd::level_name(level)) + " " + route.name);
+    }
+  }
+}
+
+TEST(SemiringAb, PlusTimesEqualsRunCsr) {
+  const Csr<double> a = fuzz_matrix(9403);
+  expect_plus_times_matches_run_csr(a);
+  expect_plus_times_matches_run_csr(gen::cast_values<float>(gen::dense_blocks(6, 16, 9404)));
 }
 
 }  // namespace

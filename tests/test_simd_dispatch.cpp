@@ -27,15 +27,7 @@
 namespace tsg {
 namespace {
 
-std::vector<simd::Level> available_levels() {
-  std::vector<simd::Level> out;
-  for (int l = 0; l < simd::kLevelCount; ++l) {
-    if (simd::level_available(static_cast<simd::Level>(l))) {
-      out.push_back(static_cast<simd::Level>(l));
-    }
-  }
-  return out;
-}
+using test::available_levels;
 
 // ------------------------------------------------------- level selection --
 
@@ -427,30 +419,13 @@ Csr<double> fuzz_matrix(std::uint64_t seed) {
 /// The accumulator routes every level is pinned against the scalar oracle:
 /// the default adaptive threshold, each accumulator forced everywhere, and
 /// the fused step-2 caller (every bin fused) on the dense route.
-struct Route {
-  const char* name;
-  SpgemmContext::Config config;
-};
-
-std::vector<Route> accumulator_routes(simd::Level level) {
-  using Config = SpgemmContext::Config;
-  const Config base = Config{}.with_simd_level(level);
-  return {{"adaptive", base},
-          {"dense", Config{base}.with_accumulator(AccumulatorPolicy::kAlwaysDense)},
-          {"sparse", Config{base}.with_accumulator(AccumulatorPolicy::kAlwaysSparse)},
-          {"fused_dense", Config{base}
-                              .with_accumulator(AccumulatorPolicy::kAlwaysDense)
-                              .with_fused_path(true)
-                              .with_fuse_max_bin(kCostBins - 1)}};
-}
-
 template <class T>
 void expect_every_level_and_route_matches_scalar(const TileMatrix<T>& t,
                                                  const std::string& context) {
   SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
   const TileMatrix<T> gold = scalar.run(t, t).c;
   for (const simd::Level level : available_levels()) {
-    for (const Route& route : accumulator_routes(level)) {
+    for (const test::Route& route : test::accumulator_routes(level)) {
       SpgemmContext forced(route.config);
       expect_tiles_identical(gold, forced.run(t, t).c,
                              std::string(simd::level_name(level)) + " " + route.name + " " +
@@ -529,7 +504,7 @@ TEST(SimdObservability, AccumulatorCountersCountTheKernelEachTileRan) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
   obs::set_metrics_detail_enabled(true);
   for (const simd::Level level : available_levels()) {
-    for (const Route& route : accumulator_routes(level)) {
+    for (const test::Route& route : test::accumulator_routes(level)) {
       SpgemmContext ctx(route.config);
       const obs::MetricsSnapshot before = reg.snapshot();
       const TileSpgemmResult<double> res = ctx.run(t, t);

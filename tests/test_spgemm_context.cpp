@@ -2,12 +2,15 @@
 // step2+step3 path, and the Config builder / environment plumbing.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <utility>
 
+#include "common/cancellation.h"
 #include "common/memory.h"
 #include "core/masked_spgemm.h"
+#include "core/semiring_spgemm.h"
 #include "core/spgemm_context.h"
 #include "matrix/convert.h"
 #include "matrix/transpose.h"
@@ -307,6 +310,50 @@ TEST(SpgemmContextStatus, MaskedBoundaryValidatesAllThreeOperands) {
   EXPECT_TRUE(ctx.try_run_masked(good, good, good).ok());
 }
 
+TEST(SpgemmContextStatus, SemiringRejectsMalformedOperandsLikeTryRun) {
+  const TileMatrix<double> good = csr_to_tile(test::make_er_small());
+  TileMatrix<double> overflowed = good;
+  overflowed.tile_nnz.back() = -7;
+  TileMatrix<double> truncated = good;
+  truncated.col_idx.pop_back();
+  const TileMatrix<double> rect = csr_to_tile(gen::erdos_renyi(40, 60, 200, 5));
+  SpgemmContext ctx;
+  const std::pair<const TileMatrix<double>*, const TileMatrix<double>*> cases[] = {
+      {&overflowed, &good}, {&good, &truncated}, {&rect, &rect}};
+  for (const auto& [a, b] : cases) {
+    const StatusCode want = ctx.try_run(*a, *b).status().code();
+    ASSERT_NE(want, StatusCode::kOk);
+    EXPECT_EQ(ctx.try_run_semiring<MinPlus<double>>(*a, *b).status().code(), want);
+    EXPECT_EQ(ctx.try_run_semiring<PlusTimes<double>>(*a, *b).status().code(), want);
+  }
+  EXPECT_THROW((void)ctx.run_semiring<OrAnd<double>>(rect, rect), Error);
+  EXPECT_TRUE(ctx.try_run_semiring<MinPlus<double>>(good, good).ok());
+}
+
+TEST(SpgemmContextStatus, MaskedAndSemiringHonourCancelAndDeadline) {
+  const TileMatrix<double> t = csr_to_tile(test::make_rmat_small());
+  SpgemmContext ctx;
+  CancelSource cancelled;
+  cancelled.request_cancel();
+  CancelSource expired;
+  expired.set_deadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  const std::pair<CancelToken, StatusCode> tokens[] = {
+      {cancelled.token(), StatusCode::kCancelled},
+      {expired.token(), StatusCode::kDeadlineExceeded}};
+  for (const auto& [token, code] : tokens) {
+    ctx.set_cancel_token(token);
+    EXPECT_EQ(ctx.try_run_masked(t, t, t).status().code(), code);
+    EXPECT_EQ(ctx.try_run_semiring<MinPlus<double>>(t, t).status().code(), code);
+  }
+  // Disarmed again, the same context multiplies bit-identically to fresh ones.
+  ctx.set_cancel_token(CancelToken{});
+  expect_bit_identical(tile_to_csr(ctx.run_masked(t, t, t)),
+                       tile_to_csr(tile_spgemm_masked(t, t, t)), "masked after cancel");
+  expect_bit_identical(tile_to_csr(ctx.run_semiring<MinPlus<double>>(t, t).c),
+                       tile_to_csr(tile_spgemm_semiring<MinPlus<double>>(t, t)),
+                       "semiring after cancel");
+}
+
 TEST(SpgemmContextStatus, ExpectedAccessorsRoundTrip) {
   SpgemmContext ctx;
   const TileMatrix<double> ta = csr_to_tile(test::make_er_small());
@@ -339,6 +386,10 @@ static_assert(
     twin_pair(&SpgemmContext::run_masked<double>, &SpgemmContext::try_run_masked<double>));
 static_assert(
     twin_pair(&SpgemmContext::run_masked<float>, &SpgemmContext::try_run_masked<float>));
+static_assert(twin_pair(&SpgemmContext::run_semiring<MinPlus<double>, double>,
+                        &SpgemmContext::try_run_semiring<MinPlus<double>, double>));
+static_assert(twin_pair(&SpgemmContext::run_semiring<PlusTimes<float>, float>,
+                        &SpgemmContext::try_run_semiring<PlusTimes<float>, float>));
 
 TEST(SpgemmContext, FloatAndDoublePoolsAreIndependent) {
   SpgemmContext ctx;

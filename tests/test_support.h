@@ -6,9 +6,12 @@
 #include <chrono>
 #include <future>
 #include <string>
+#include <vector>
 
 #include "baselines/reference.h"
 #include "common/status.h"
+#include "core/simd_dispatch.h"
+#include "core/spgemm_context.h"
 #include "gen/generators.h"
 #include "matrix/compare.h"
 #include "matrix/csr.h"
@@ -78,5 +81,36 @@ inline Csr<double> make_blocks() { return gen::dense_blocks(6, 20, 48); }
 inline Csr<double> make_blocks_large() { return gen::dense_blocks(3, 50, 49); }
 inline Csr<double> make_clustered() { return gen::clustered_rows(200, 3, 6, 50); }
 inline Csr<double> make_hyper_sparse() { return gen::erdos_renyi(2000, 2000, 3000, 51); }
+
+/// Every simd::Level this build and host can run.
+inline std::vector<simd::Level> available_levels() {
+  std::vector<simd::Level> out;
+  for (int l = 0; l < simd::kLevelCount; ++l) {
+    if (simd::level_available(static_cast<simd::Level>(l))) {
+      out.push_back(static_cast<simd::Level>(l));
+    }
+  }
+  return out;
+}
+
+/// One accumulator route through steps 2-3 at a forced level.
+struct Route {
+  const char* name;
+  SpgemmContext::Config config;
+};
+
+/// The accumulator routes of the bit-identity sweeps: adaptive, always
+/// dense, always sparse, and every bin fused with the dense accumulator.
+inline std::vector<Route> accumulator_routes(simd::Level level) {
+  using Config = SpgemmContext::Config;
+  const Config base = Config{}.with_simd_level(level);
+  return {{"adaptive", base},
+          {"dense", Config{base}.with_accumulator(AccumulatorPolicy::kAlwaysDense)},
+          {"sparse", Config{base}.with_accumulator(AccumulatorPolicy::kAlwaysSparse)},
+          {"fused_dense", Config{base}
+                              .with_accumulator(AccumulatorPolicy::kAlwaysDense)
+                              .with_fused_path(true)
+                              .with_fuse_max_bin(kCostBins - 1)}};
+}
 
 }  // namespace tsg::test
