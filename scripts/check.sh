@@ -126,13 +126,15 @@ stage_regular() {
   # ...and the budget-stress pass: a 1 MB budget over the context sweep forces
   # chunked execution on every case big enough to matter, and the bit-identity
   # assertions must still hold. test_tile_ops and test_semiring put the masked
-  # and semiring products through the same squeeze. (test_integration and
+  # and semiring products through the same squeeze, and test_kernel_ab the
+  # direct-CSR output against the tile path. (test_integration and
   # baseline binaries are excluded on purpose: the row-row baselines
   # legitimately fail at 1 MB.)
   TSG_DEVICE_MEM_MB=1 ./build/tests/test_spgemm_context --gtest_brief=1
   TSG_DEVICE_MEM_MB=1 ./build/tests/test_fault_injection --gtest_brief=1
   TSG_DEVICE_MEM_MB=1 ./build/tests/test_tile_ops --gtest_brief=1
   TSG_DEVICE_MEM_MB=1 ./build/tests/test_semiring --gtest_brief=1
+  TSG_DEVICE_MEM_MB=1 ./build/tests/test_kernel_ab --gtest_brief=1
 }
 
 stage_tsan() {
@@ -299,9 +301,11 @@ stage_bench_regress() {
 stage_simd() {
   echo "=== simd: kernel A/B suites under every forced dispatch level ==="
   # One build, then the bit-identity suites (test_kernel_ab pits the packed
-  # pipeline against the scalar oracle and the masked and semiring products
-  # against the plain one; test_simd_dispatch A/Bs every primitive and the
-  # fused bins) re-run with TSG_SIMD forcing each level.
+  # pipeline against the scalar oracle, the masked and semiring products
+  # against the plain one, and try_run_csr's direct-CSR output and the CSR
+  # wrappers against tile_to_csr of the tile-form product;
+  # test_simd_dispatch A/Bs every primitive and the fused bins) re-run with
+  # TSG_SIMD forcing each level.
   # Levels the host cannot execute are skipped with a notice — the CI job is
   # green on any x86-64, exhaustive on AVX-512 hardware.
   cmake -B build -S . >/dev/null

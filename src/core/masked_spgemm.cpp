@@ -1,7 +1,8 @@
 #include "core/masked_spgemm.h"
 
+#include <utility>
+
 #include "core/spgemm_context.h"
-#include "core/tile_convert.h"
 
 namespace tsg {
 
@@ -16,8 +17,8 @@ TileMatrix<T> tile_spgemm_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
 template <class T>
 Csr<T> spgemm_tile_masked(const Csr<T>& a, const Csr<T>& b, const Csr<T>& mask,
                           const TileSpgemmOptions& options) {
-  return tile_to_csr(
-      tile_spgemm_masked(csr_to_tile(a), csr_to_tile(b), csr_to_tile(mask), options));
+  SpgemmContext ctx(SpgemmContext::Config{}.with_options(options));
+  return std::move(ctx.try_run_impl<T, PlusTimes<T>>(a, b, &mask, nullptr)).value();
 }
 
 template TileMatrix<double> tile_spgemm_masked(const TileMatrix<double>&,

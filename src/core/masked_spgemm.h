@@ -24,7 +24,9 @@ TileMatrix<T> tile_spgemm_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                  const TileMatrix<T>& mask,
                                  const TileSpgemmOptions& options = {});
 
-/// CSR convenience wrapper.
+/// CSR in/out: runs the direct-CSR pipeline of SpgemmContext::run_csr with
+/// the mask (each distinct operand converts to tiles once; C is written
+/// straight into CSR). Transient context.
 template <class T>
 Csr<T> spgemm_tile_masked(const Csr<T>& a, const Csr<T>& b, const Csr<T>& mask,
                           const TileSpgemmOptions& options = {});

@@ -15,11 +15,11 @@
 #pragma once
 
 #include <algorithm>
+#include <utility>
 
 #include "common/parallel.h"
 #include "core/semiring.h"
 #include "core/spgemm_context.h"
-#include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
 
 namespace tsg {
@@ -33,11 +33,13 @@ TileMatrix<T> tile_spgemm_semiring(const TileMatrix<T>& a, const TileMatrix<T>& 
   return ctx.run_semiring<Semiring>(a, b).c;
 }
 
-/// CSR convenience wrapper.
+/// CSR in/out through the direct-CSR pipeline (C is written straight into
+/// CSR, as for SpgemmContext::run_csr); transient context. Declared, with
+/// its `options = {}` default, in spgemm_context.h.
 template <class Semiring, class T>
-Csr<T> spgemm_semiring(const Csr<T>& a, const Csr<T>& b,
-                       const TileSpgemmOptions& options = {}) {
-  return tile_to_csr(tile_spgemm_semiring<Semiring>(csr_to_tile(a), csr_to_tile(b), options));
+Csr<T> spgemm_semiring(const Csr<T>& a, const Csr<T>& b, const TileSpgemmOptions& options) {
+  SpgemmContext ctx(SpgemmContext::Config{}.with_options(options));
+  return std::move(ctx.try_run_impl<T, Semiring>(a, b, nullptr, nullptr)).value();
 }
 
 /// Semiring SpMV on the tile format: y = A (x) x with a dense vector whose

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include "common/memory.h"
 #include "common/parallel.h"
 #include "common/timer.h"
+#include "core/tile_convert.h"
 #include "core/tile_transpose.h"
 #include "core/validate.h"
 #include "obs/log.h"
@@ -97,18 +99,23 @@ std::string mb_string(std::size_t bytes) {
 }
 
 /// Guaranteed upper bound on the device-side bytes one C tile needs during
-/// steps 2-3: output staging at the 256-nonzero tile maximum plus whatever
-/// the active plan caches per tile (matched pairs, staged fused values).
+/// steps 2-3: its symbolic result, output at the 256-nonzero tile maximum
+/// in the output's own format (tile: uint8 row/column index + value; CSR:
+/// index_t column + value, plus the 16 CSR row offsets), plus whatever the
+/// active plan caches per tile (matched pairs, staged fused values).
 /// Deliberately a bound, not an estimate — chunking decisions made from it
 /// are always safe.
 template <class T>
 std::size_t tile_bytes_bound(const TileMatrix<T>& a, const TileLayoutCsc& b_csc, index_t ti,
-                             index_t tj, bool cache_pairs, bool fuse_light,
-                             int fuse_bin_cap) {
+                             index_t tj, bool cache_pairs, bool fuse_light, int fuse_bin_cap,
+                             bool csr_out) {
+  const std::size_t output =
+      csr_out ? static_cast<std::size_t>(kTileNnzMax) * (sizeof(index_t) + sizeof(T)) +
+                    static_cast<std::size_t>(kTileDim) * sizeof(offset_t)
+              : static_cast<std::size_t>(kTileNnzMax) * (2 * sizeof(std::uint8_t) + sizeof(T));
   std::size_t bytes =
       sizeof(offset_t) +
-      static_cast<std::size_t>(kTileDim) * (sizeof(std::uint8_t) + sizeof(rowmask_t)) +
-      static_cast<std::size_t>(kTileNnzMax) * (2 * sizeof(std::uint8_t) + sizeof(T));
+      static_cast<std::size_t>(kTileDim) * (sizeof(std::uint8_t) + sizeof(rowmask_t)) + output;
   const offset_t len_a = a.tile_ptr[static_cast<std::size_t>(ti) + 1] -
                          a.tile_ptr[static_cast<std::size_t>(ti)];
   const offset_t len_b = b_csc.col_ptr[static_cast<std::size_t>(tj) + 1] -
@@ -148,18 +155,20 @@ struct BudgetPlan {
 template <class T>
 BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                        const TileStructure& st, const SpgemmWorkspace<T>& ws, bool cache_pairs,
-                       bool fuse_light, int fuse_bin_cap, bool degrade) {
+                       bool fuse_light, int fuse_bin_cap, bool degrade, bool csr_out) {
   constexpr std::size_t kSat = static_cast<std::size_t>(-1);
   BudgetPlan out;
   out.budget = device_memory_budget_bytes();
 
   // Fixed share: the pooled buffers already sized by step 1 (layout view,
-  // structure, per-thread scratch) plus C's top-level arrays, all of which
-  // stay live for the whole multiply regardless of chunking.
+  // structure, per-thread scratch) plus C's top-level arrays (and, for CSR
+  // output, its row pointers), all of which stay live for the whole
+  // multiply regardless of chunking.
   std::size_t fixed = ws.bytes();
-  const std::size_t top_level = st.tile_ptr.size() * sizeof(offset_t) +
-                                st.tile_col_idx.size() * sizeof(index_t) +
-                                (st.tile_col_idx.size() + 1) * sizeof(offset_t);
+  const std::size_t top_level =
+      st.tile_ptr.size() * sizeof(offset_t) + st.tile_col_idx.size() * sizeof(index_t) +
+      (st.tile_col_idx.size() + 1) * sizeof(offset_t) +
+      (csr_out ? (static_cast<std::size_t>(a.rows) + 1) * sizeof(offset_t) : 0);
   if (!checked_add(fixed, top_level, fixed)) fixed = kSat;
 
   // Per-tile-row staging bounds; these drive both the single-shot verdict
@@ -174,7 +183,7 @@ BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
       const index_t ti = st.tile_row_idx[static_cast<std::size_t>(t)];
       const index_t tj = st.tile_col_idx[static_cast<std::size_t>(t)];
       const std::size_t tb =
-          tile_bytes_bound(a, b_csc, ti, tj, cache_pairs, fuse_light, fuse_bin_cap);
+          tile_bytes_bound(a, b_csc, ti, tj, cache_pairs, fuse_light, fuse_bin_cap, csr_out);
       if (!checked_add(rb, tb, rb)) {
         rb = kSat;
         break;
@@ -212,6 +221,116 @@ BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
   }
   out.chunks.emplace_back(lo, tile_rows);
   return out;
+}
+
+template <class M>
+Status check_shapes(const M& a, const M& b, const M* mask) {
+  if (a.cols != b.rows) {
+    return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
+                                      std::to_string(a.rows) + "x" + std::to_string(a.cols) +
+                                      ", B is " + std::to_string(b.rows) + "x" +
+                                      std::to_string(b.cols) + ")");
+  }
+  if (mask != nullptr && (mask->rows != a.rows || mask->cols != b.cols)) {
+    return Status::dimension_mismatch("spgemm: mask shape does not match A*B");
+  }
+  return Status{};
+}
+
+// --- C's output, in tile form or straight in CSR. Step 3 writes through
+// the sink these return; run_impl / run_chunked pick the overload by the
+// output type, so neither output carries a run-time branch on the other.
+
+template <class T, bool kCsr>
+using OutputSink = std::conditional_t<kCsr, CsrSink<T>, TileSink<T>>;
+
+/// Chunked tile output: the top level, before the first chunk is appended.
+template <class T>
+void init_output(index_t rows, index_t cols, const TileStructure& st, TileMatrix<T>& c) {
+  c.rows = rows;
+  c.cols = cols;
+  c.tile_rows = st.tile_rows;
+  c.tile_cols = st.tile_cols;
+  const std::size_t ntiles = st.tile_col_idx.size();
+  c.tile_nnz.assign(1, 0);
+  c.tile_nnz.reserve(ntiles + 1);
+  c.row_ptr.reserve(checked_size_mul(ntiles, static_cast<std::size_t>(kTileDim)));
+  c.mask.reserve(checked_size_mul(ntiles, static_cast<std::size_t>(kTileDim)));
+}
+
+/// CSR output: empty rows, filled tile-row range by tile-row range.
+template <class T>
+void init_output(index_t rows, index_t cols, const TileStructure&, Csr<T>& c) {
+  c = Csr<T>(rows, cols);
+}
+
+/// Append one chunk's tiles to a tile-form C: its symbolic arrays (nnz
+/// offsets rebased onto the running total) and room for its nonzeros,
+/// which step 3 writes through the returned sink.
+template <class T>
+TileSink<T> append_output(SpgemmWorkspace<T>&, std::pair<index_t, index_t>,
+                          const Step2Result& symbolic, TileMatrix<T>& c) {
+  const offset_t base = c.tile_nnz.back();
+  for (std::size_t k = 1; k < symbolic.tile_nnz.size(); ++k) {
+    c.tile_nnz.push_back(base + symbolic.tile_nnz[k]);
+  }
+  c.row_ptr.insert(c.row_ptr.end(), symbolic.row_ptr.begin(), symbolic.row_ptr.end());
+  c.mask.insert(c.mask.end(), symbolic.mask.begin(), symbolic.mask.end());
+  const auto nnz = static_cast<std::size_t>(c.tile_nnz.back());
+  c.row_idx.resize(nnz);
+  c.col_idx.resize(nnz);
+  c.val.resize(nnz);
+  const auto at = static_cast<std::size_t>(base);
+  return {c.row_idx.data() + at, c.col_idx.data() + at, c.val.data() + at};
+}
+
+/// Lay out tile rows [range.first, range.second) of a CSR C from their
+/// symbolic masks: their row pointers, every tile's 16 CSR row offsets (in
+/// the pooled ws.csr_row_off, indexed like `symbolic`), and room for their
+/// nonzeros. Step 3 writes every entry, so a first allocation is
+/// default-initialised and first touched by step 3's parallel scatter.
+template <class T>
+CsrSink<T> append_output(SpgemmWorkspace<T>& ws, std::pair<index_t, index_t> range,
+                         const Step2Result& symbolic, Csr<T>& c) {
+  ws.csr_row_off.resize(symbolic.mask.size());
+  if (range.second > range.first) {
+    detail::csr_layout(ws.structure.tile_ptr.data(), range.first, range.second - range.first,
+                       c.rows, symbolic.mask.data(), c.row_ptr.data(), ws.csr_row_off.data());
+  }
+  const auto nnz = static_cast<std::size_t>(
+      c.row_ptr[static_cast<std::size_t>(std::min<index_t>(range.second * kTileDim, c.rows))]);
+  if (c.col_idx.empty()) {
+    assign_default_init(c.col_idx, nnz);
+    assign_default_init(c.val, nnz);
+  } else {
+    c.col_idx.resize(nnz);
+    c.val.resize(nnz);
+  }
+  return {ws.csr_row_off.data(), c.col_idx.data(), c.val.data()};
+}
+
+/// Single-shot tile output: sized for step 3; the symbolic arrays and the
+/// structure's top level are moved in once step 3 is done.
+template <class T>
+TileSink<T> begin_output(SpgemmWorkspace<T>& ws, index_t rows, index_t cols,
+                         const Step2Result& symbolic, TileMatrix<T>& c) {
+  c.rows = rows;
+  c.cols = cols;
+  c.tile_rows = ws.structure.tile_rows;
+  c.tile_cols = ws.structure.tile_cols;
+  const auto nnz = static_cast<std::size_t>(symbolic.nnz());
+  c.row_idx.resize(nnz);
+  c.col_idx.resize(nnz);
+  c.val.resize(nnz);
+  return {c.row_idx.data(), c.col_idx.data(), c.val.data()};
+}
+
+/// Single-shot CSR output: all tile rows in one range.
+template <class T>
+CsrSink<T> begin_output(SpgemmWorkspace<T>& ws, index_t rows, index_t cols,
+                        const Step2Result& symbolic, Csr<T>& c) {
+  init_output(rows, cols, ws.structure, c);
+  return append_output(ws, {0, ws.structure.tile_rows}, symbolic, c);
 }
 
 }  // namespace
@@ -378,9 +497,10 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
   return plan;
 }
 
-template <class T, class S>
-TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                            const TileMatrix<T>* mask) {
+template <class T, class S, bool kCsr>
+SpgemmContext::RunResult<T, kCsr> SpgemmContext::run_impl(const TileMatrix<T>& a,
+                                                          const TileMatrix<T>& b,
+                                                          const TileMatrix<T>* mask) {
   TSG_TRACE_SPAN("spgemm.run");
   std::optional<obs::MetricsSnapshot> before;
   if (obs::metrics_detail_enabled()) {
@@ -397,7 +517,7 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   ws.cancel = cancel_;
   check_cancelled();
 
-  TileSpgemmResult<T> result;
+  RunResult<T, kCsr> result;
   TileSpgemmTimings& tm = result.timings;
   tm.convert_ms = pending_convert_ms_;
   pending_convert_ms_ = 0.0;
@@ -440,10 +560,10 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     // fuse_bin_cap >= kCostBins encodes "binning off: any tile may stage".
     const int fuse_bin_cap = cfg_.cost_binning ? cfg_.fuse_max_bin : kCostBins;
     budget = plan_budget(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light,
-                         fuse_bin_cap, cfg_.degrade_on_budget);
+                         fuse_bin_cap, cfg_.degrade_on_budget, kCsr);
     if (budget.limited && cache_pairs) {
       budget = plan_budget(a, ws.b_csc, ws.structure, ws, false, false, fuse_bin_cap,
-                           cfg_.degrade_on_budget);
+                           cfg_.degrade_on_budget, kCsr);
       cache_pairs = false;
       fuse_light = false;
       tm.pair_cache_dropped = true;
@@ -460,7 +580,7 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   // M's row masks line up with C's tiles: step 1 took M's tile structure.
   const rowmask_t* out_mask = mask != nullptr ? mask->mask.data() : nullptr;
   if (budget.limited) {
-    run_chunked<T, S>(a, b, budget.chunks, ws, cache_pairs, fuse_light, out_mask, result);
+    run_chunked<T, S, kCsr>(a, b, budget.chunks, ws, cache_pairs, fuse_light, out_mask, result);
     tm.chunks = static_cast<int>(budget.chunks.size());
   } else {
     // Cost model + binned schedule (plan_ms).
@@ -481,37 +601,33 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     check_cancelled();
     tm.fused_tiles = symbolic.fused_tiles;
 
-    // Allocate C (the only sizeable allocation of the whole algorithm). Its
-    // tile_ptr / tile_col_idx are moved out of the workspace after step 3.
-    TileMatrix<T>& c = result.c;
+    // Allocate C (the only sizeable allocation of the whole algorithm).
+    OutputSink<T, kCsr> sink{};
     {
       ScopedAccumulator scope(tm.alloc_ms);
       TSG_TRACE_SPAN("alloc.c");
-      c.rows = a.rows;
-      c.cols = b.cols;
-      c.tile_rows = ws.structure.tile_rows;
-      c.tile_cols = ws.structure.tile_cols;
-      c.tile_nnz = std::move(symbolic.tile_nnz);
-      c.row_ptr = std::move(symbolic.row_ptr);
-      c.mask = std::move(symbolic.mask);
-      const std::size_t nnz = static_cast<std::size_t>(c.nnz());
-      c.row_idx.resize(nnz);
-      c.col_idx.resize(nnz);
-      c.val.resize(nnz);
+      sink = begin_output(ws, a.rows, b.cols, symbolic, result.c);
     }
 
-    // Step 3: numeric.
+    // Step 3: numeric, written through the sink.
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", ws.structure.num_tiles());
-      step3_numeric<T, S>(a, b, ws.b_csc, ws.structure, cfg_.options, c, ws, plan);
+      step3_numeric<T, S>(a, b, ws.b_csc, ws.structure, cfg_.options, symbolic, sink, ws, plan);
     }
     // Stage boundary: values of skipped tiles were never written — the
     // partial C must not be returned as a result.
     cancel_.note_progress();
     check_cancelled();
-    c.tile_ptr = std::move(ws.structure.tile_ptr);
-    c.tile_col_idx = std::move(ws.structure.tile_col_idx);
+    if constexpr (!kCsr) {
+      // C's symbolic arrays and top level are moved in, not copied.
+      TileMatrix<T>& c = result.c;
+      c.tile_nnz = std::move(symbolic.tile_nnz);
+      c.row_ptr = std::move(symbolic.row_ptr);
+      c.mask = std::move(symbolic.mask);
+      c.tile_ptr = std::move(ws.structure.tile_ptr);
+      c.tile_col_idx = std::move(ws.structure.tile_col_idx);
+    }
   }
   tm.workspace_bytes = workspace_bytes();
 
@@ -527,42 +643,26 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   return result;
 }
 
-template <class T, class S>
+template <class T, class S, bool kCsr>
 void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                 const std::vector<std::pair<index_t, index_t>>& chunks,
                                 SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                                const rowmask_t* out_mask, TileSpgemmResult<T>& result) {
+                                const rowmask_t* out_mask, RunResult<T, kCsr>& result) {
   TileStructure& st = ws.structure;
   TileSpgemmTimings& tm = result.timings;
-  TileMatrix<T>& c = result.c;
-
-  // Assemble C's top level once; the low-level arrays grow chunk by chunk,
-  // and tile_ptr / tile_col_idx are moved out of the workspace at the end.
   {
     ScopedAccumulator scope(tm.alloc_ms);
-    c.rows = a.rows;
-    c.cols = b.cols;
-    c.tile_rows = st.tile_rows;
-    c.tile_cols = st.tile_cols;
-    const std::size_t ntiles = st.tile_col_idx.size();
-    c.tile_nnz.clear();
-    c.tile_nnz.reserve(ntiles + 1);
-    c.tile_nnz.push_back(0);
-    c.row_ptr.clear();
-    c.row_ptr.reserve(checked_size_mul(ntiles, static_cast<std::size_t>(kTileDim)));
-    c.mask.clear();
-    c.mask.reserve(checked_size_mul(ntiles, static_cast<std::size_t>(kTileDim)));
+    init_output(a.rows, b.cols, st, result.c);
   }
 
-  // Chunk-local structure and output, hoisted so later chunks reuse their
-  // capacity. Steps 2/3 identify each tile purely through tile_row_idx /
-  // tile_col_idx (original, un-rebased indices into A's tile rows and
-  // B's tile columns) and index their outputs by position, so a chunk is
-  // literally a slice of the step-1 structure.
+  // Chunk-local structure, hoisted so later chunks reuse its capacity.
+  // Steps 2/3 identify each tile purely through tile_row_idx / tile_col_idx
+  // (original, un-rebased indices into A's tile rows and B's tile columns)
+  // and index their outputs by position, so a chunk is literally a slice of
+  // the step-1 structure.
   TileStructure chunk_st;
   chunk_st.tile_rows = st.tile_rows;
   chunk_st.tile_cols = st.tile_cols;
-  TileMatrix<T> cc;
 
   for (std::size_t chunk_idx = 0; chunk_idx < chunks.size(); ++chunk_idx) {
     const std::pair<index_t, index_t>& range = chunks[chunk_idx];
@@ -600,61 +700,32 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
     check_cancelled();  // don't allocate this chunk's slice from a hole
     tm.fused_tiles += symbolic.fused_tiles;
 
+    // Chunks arrive in tile-row order and tiles keep their storage order
+    // inside a chunk, so growing C by each chunk's slice and letting step 3
+    // write it in place reproduces the single-shot layout bit for bit.
+    OutputSink<T, kCsr> sink{};
     {
       ScopedAccumulator scope(tm.alloc_ms);
-      cc.rows = a.rows;
-      cc.cols = b.cols;
-      cc.tile_rows = st.tile_rows;
-      cc.tile_cols = st.tile_cols;
-      cc.tile_nnz = std::move(symbolic.tile_nnz);
-      cc.row_ptr = std::move(symbolic.row_ptr);
-      cc.mask = std::move(symbolic.mask);
-      const std::size_t cn = static_cast<std::size_t>(cc.nnz());
-      cc.row_idx.resize(cn);
-      cc.col_idx.resize(cn);
-      cc.val.resize(cn);
+      sink = append_output(ws, range, symbolic, result.c);
     }
-
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", chunk_st.num_tiles());
-      step3_numeric<T, S>(a, b, ws.b_csc, chunk_st, cfg_.options, cc, ws, plan);
+      step3_numeric<T, S>(a, b, ws.b_csc, chunk_st, cfg_.options, symbolic, sink, ws, plan);
     }
-    check_cancelled();  // don't stitch a chunk whose values have holes
-
-    // Stitch. Chunks arrive in tile-row order and tiles keep their storage
-    // order inside a chunk, so appending (with the nnz offsets rebased onto
-    // the running total) reproduces the single-shot layout bit for bit.
-    {
-      ScopedAccumulator scope(tm.alloc_ms);
-      const offset_t base = c.tile_nnz.back();
-      for (std::size_t k = 0; k + 1 < cc.tile_nnz.size(); ++k) {
-        c.tile_nnz.push_back(base + cc.tile_nnz[k + 1]);
-      }
-      c.row_ptr.insert(c.row_ptr.end(), cc.row_ptr.begin(), cc.row_ptr.end());
-      c.mask.insert(c.mask.end(), cc.mask.begin(), cc.mask.end());
-      c.row_idx.insert(c.row_idx.end(), cc.row_idx.begin(), cc.row_idx.end());
-      c.col_idx.insert(c.col_idx.end(), cc.col_idx.begin(), cc.col_idx.end());
-      c.val.insert(c.val.end(), cc.val.begin(), cc.val.end());
-    }
+    check_cancelled();  // don't keep a chunk whose values have holes
   }
-  c.tile_ptr = std::move(st.tile_ptr);
-  c.tile_col_idx = std::move(st.tile_col_idx);
+  if constexpr (!kCsr) {
+    result.c.tile_ptr = std::move(st.tile_ptr);
+    result.c.tile_col_idx = std::move(st.tile_col_idx);
+  }
 }
 
 template <class T, class S>
 Expected<TileSpgemmResult<T>> SpgemmContext::try_run_impl(const TileMatrix<T>& a,
                                                           const TileMatrix<T>& b,
                                                           const TileMatrix<T>* mask) {
-  if (a.cols != b.rows) {
-    return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
-                                      std::to_string(a.rows) + "x" + std::to_string(a.cols) +
-                                      ", B is " + std::to_string(b.rows) + "x" +
-                                      std::to_string(b.cols) + ")");
-  }
-  if (mask != nullptr && (mask->rows != a.rows || mask->cols != b.cols)) {
-    return Status::dimension_mismatch("spgemm: mask shape does not match A*B");
-  }
+  if (Status s = check_shapes(a, b, mask); !s.ok()) return s;
   if (Status s = validate_tile_operand(a, "A", cfg_.validation, cfg_.nan_policy); !s.ok()) {
     return s;
   }
@@ -668,13 +739,60 @@ Expected<TileSpgemmResult<T>> SpgemmContext::try_run_impl(const TileMatrix<T>& a
     }
   }
   try {
-    return run_impl<T, S>(a, b, mask);
+    return run_impl<T, S, false>(a, b, mask);
   } catch (const Error& e) {
     return e.status();
   } catch (const std::bad_alloc&) {
     return Status::allocation_failed(
         "spgemm: a tracked allocation failed mid-run (real or injected); the context remains "
         "reusable");
+  }
+}
+
+template <class T, class S>
+Expected<Csr<T>> SpgemmContext::try_run_impl(const Csr<T>& a, const Csr<T>& b,
+                                             const Csr<T>* mask, TileSpgemmTimings* timings) {
+  if (Status s = check_shapes(a, b, mask); !s.ok()) return s;
+  if (Status s = validate_csr_operand(a, "A", cfg_.validation, cfg_.nan_policy); !s.ok()) {
+    return s;
+  }
+  if (&a != &b) {
+    if (Status s = validate_csr_operand(b, "B", cfg_.validation, cfg_.nan_policy); !s.ok()) {
+      return s;
+    }
+  }
+  if (mask != nullptr && mask != &a && mask != &b) {
+    if (Status s = validate_csr_operand(*mask, "mask", cfg_.validation, cfg_.nan_policy);
+        !s.ok()) {
+      return s;
+    }
+  }
+  try {
+    // Each distinct operand converts once (C = A*A, (L*L).*L).
+    const TileMatrix<T> ta = to_tile(a);
+    std::optional<TileMatrix<T>> tb;
+    if (&b != &a) tb.emplace(to_tile(b));
+    const TileMatrix<T>& tbr = tb ? *tb : ta;
+    std::optional<TileMatrix<T>> tm;
+    const TileMatrix<T>* tmask = nullptr;
+    if (mask == &a) {
+      tmask = &ta;
+    } else if (mask == &b) {
+      tmask = &tbr;
+    } else if (mask != nullptr) {
+      tmask = &tm.emplace(to_tile(*mask));
+    }
+    CsrResult<T> product = run_impl<T, S, true>(ta, tbr, tmask);
+    if (timings != nullptr) *timings = product.timings;
+    return std::move(product.c);
+  } catch (const Error& e) {
+    pending_convert_ms_ = 0.0;  // the failed run consumed nothing; don't charge the next one
+    return e.status();
+  } catch (const std::bad_alloc&) {
+    pending_convert_ms_ = 0.0;
+    return Status::allocation_failed(
+        "run_csr: a tracked allocation failed during conversion or the multiply (real or "
+        "injected); the context remains reusable");
   }
 }
 
@@ -704,16 +822,18 @@ TileSpgemmResult<T> SpgemmContext::run_semiring(const TileMatrix<T>& a,
 template <class T>
 Expected<TileMatrix<T>> SpgemmContext::try_run_masked(const TileMatrix<T>& a,
                                                       const TileMatrix<T>& b,
-                                                      const TileMatrix<T>& mask) {
+                                                      const TileMatrix<T>& mask,
+                                                      TileSpgemmTimings* timings) {
   Expected<TileSpgemmResult<T>> product = try_run_impl<T, PlusTimes<T>>(a, b, &mask);
   if (!product.ok()) return product.status();
+  if (timings != nullptr) *timings = product->timings;
   return std::move(product->c);
 }
 
 template <class T>
 TileMatrix<T> SpgemmContext::run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                        const TileMatrix<T>& mask) {
-  return std::move(try_run_masked(a, b, mask)).value();
+                                        const TileMatrix<T>& mask, TileSpgemmTimings* timings) {
+  return std::move(try_run_masked(a, b, mask, timings)).value();
 }
 
 template <class T>
@@ -749,42 +869,7 @@ TileMatrix<T> SpgemmContext::to_tile(const Csr<T>& m) {
 template <class T>
 Expected<Csr<T>> SpgemmContext::try_run_csr(const Csr<T>& a, const Csr<T>& b,
                                             TileSpgemmTimings* timings) {
-  if (a.cols != b.rows) {
-    return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
-                                      std::to_string(a.rows) + "x" + std::to_string(a.cols) +
-                                      ", B is " + std::to_string(b.rows) + "x" +
-                                      std::to_string(b.cols) + ")");
-  }
-  if (Status s = validate_csr_operand(a, "A", cfg_.validation, cfg_.nan_policy); !s.ok()) {
-    return s;
-  }
-  if (&a != &b) {
-    if (Status s = validate_csr_operand(b, "B", cfg_.validation, cfg_.nan_policy); !s.ok()) {
-      return s;
-    }
-  }
-  try {
-    const TileMatrix<T> ta = to_tile(a);
-    // Aliased operands (C = A*A) convert once.
-    std::optional<TileMatrix<T>> tb;
-    if (&a != &b) tb.emplace(to_tile(b));
-    Expected<TileSpgemmResult<T>> result = try_run(ta, tb ? *tb : ta);
-    if (!result.ok()) {
-      pending_convert_ms_ = 0.0;  // the failed run consumed nothing; don't charge the next one
-      return result.status();
-    }
-    Timer back;
-    Csr<T> c = tile_to_csr(result->c);
-    result->timings.convert_ms += back.milliseconds();
-    if (timings != nullptr) *timings = result->timings;
-    return c;
-  } catch (const std::bad_alloc&) {
-    pending_convert_ms_ = 0.0;
-    return Status::allocation_failed("run_csr: allocation failed during CSR<->tile conversion");
-  } catch (const Error& e) {
-    pending_convert_ms_ = 0.0;
-    return e.status();
-  }
+  return try_run_impl<T, PlusTimes<T>>(a, b, nullptr, timings);
 }
 
 template <class T>
@@ -814,23 +899,29 @@ template Csr<float> SpgemmContext::run_csr(const Csr<float>&, const Csr<float>&,
                                            TileSpgemmTimings*);
 template Expected<TileMatrix<double>> SpgemmContext::try_run_masked(const TileMatrix<double>&,
                                                                     const TileMatrix<double>&,
-                                                                    const TileMatrix<double>&);
+                                                                    const TileMatrix<double>&,
+                                                                    TileSpgemmTimings*);
 template Expected<TileMatrix<float>> SpgemmContext::try_run_masked(const TileMatrix<float>&,
                                                                    const TileMatrix<float>&,
-                                                                   const TileMatrix<float>&);
+                                                                   const TileMatrix<float>&,
+                                                                   TileSpgemmTimings*);
 template TileMatrix<double> SpgemmContext::run_masked(const TileMatrix<double>&,
                                                       const TileMatrix<double>&,
-                                                      const TileMatrix<double>&);
+                                                      const TileMatrix<double>&,
+                                                      TileSpgemmTimings*);
 template TileMatrix<float> SpgemmContext::run_masked(const TileMatrix<float>&,
                                                      const TileMatrix<float>&,
-                                                     const TileMatrix<float>&);
+                                                     const TileMatrix<float>&,
+                                                     TileSpgemmTimings*);
 template TileMatrix<double> SpgemmContext::to_tile(const Csr<double>&);
 template TileMatrix<float> SpgemmContext::to_tile(const Csr<float>&);
 #define TSG_SEMIRING_INSTANTIATE(S, T)                                                      \
   template Expected<TileSpgemmResult<T>> SpgemmContext::try_run_semiring<S, T>(            \
       const TileMatrix<T>&, const TileMatrix<T>&);                                          \
   template TileSpgemmResult<T> SpgemmContext::run_semiring<S, T>(const TileMatrix<T>&,     \
-                                                                 const TileMatrix<T>&);
+                                                                 const TileMatrix<T>&);     \
+  template Expected<Csr<T>> SpgemmContext::try_run_impl<T, S>(                              \
+      const Csr<T>&, const Csr<T>&, const Csr<T>*, TileSpgemmTimings*);
 TSG_FOR_EACH_SEMIRING(TSG_SEMIRING_INSTANTIATE)
 #undef TSG_SEMIRING_INSTANTIATE
 

@@ -14,7 +14,7 @@
 //
 //     Config::from_env() ── builder tweaks ──> SpgemmContext ctx(cfg)
 //           ctx.run(a, b)             tile in/out, timings + bin counters
-//           ctx.run_csr(a, b)         CSR in/out, conversion time in convert_ms
+//           ctx.run_csr(a, b)         CSR in/out; step 3 writes C's CSR directly
 //           ctx.run_aat(a)            A * A^T, transpose formed tile-natively
 //           ctx.run_masked(a, b, m)   C = (A*B) .* structure(M)
 //           ctx.run_semiring<S>(a, b) C = A (x) B over a semiring of semiring.h
@@ -23,9 +23,11 @@
 // All of them drive one pipeline (run_impl / run_chunked): step 1, budget
 // plan, binned schedule, step 2, C allocation, step 3. They differ only in
 // the step-1 source (the symbolic tile product, or the mask's tile
-// structure) and in the numeric semiring, so each inherits the same operand
-// validation, budget enforcement and chunked degradation, cancellation
-// polls, trace spans, run metrics and SIMD dispatch.
+// structure), in the numeric semiring, and in where step 3 writes C (its
+// tile arrays, or — for run_csr and the CSR free wrappers — straight into
+// the returned CSR), so each inherits the same operand validation, budget
+// enforcement and chunked degradation, cancellation polls, trace spans,
+// run metrics and SIMD dispatch.
 //
 // Every run* entry point has a try_run* twin returning Expected<...>:
 // anticipated failures (bad operands, the modeled device budget with
@@ -54,15 +56,22 @@
 #pragma once
 
 #include <cstddef>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "core/masked_spgemm.h"
 #include "core/semiring.h"
 #include "core/spgemm_workspace.h"
 #include "core/tile_spgemm.h"
 
 namespace tsg {
+
+/// Declared here, defined in semiring_spgemm.h: the CSR semiring wrapper
+/// reaches SpgemmContext's direct-CSR pipeline as a friend.
+template <class Semiring, class T>
+Csr<T> spgemm_semiring(const Csr<T>& a, const Csr<T>& b, const TileSpgemmOptions& options = {});
 
 class SpgemmContext {
  public:
@@ -214,10 +223,13 @@ class SpgemmContext {
   template <class T>
   TileSpgemmResult<T> run_aat(const TileMatrix<T>& a);
 
-  /// CSR in/out convenience: converts (aliased operands convert once),
-  /// multiplies, converts back. Conversion time lands in
-  /// timings->convert_ms — the Fig. 12 numerator — not in core_ms().
-  /// On failure `*timings` is untouched. Throwing twin: run_csr().
+  /// CSR in/out: converts A and B to tiles (aliased operands convert once)
+  /// and multiplies with step 3 writing C straight into the returned CSR —
+  /// C's tile arrays are never built. timings->convert_ms holds only the
+  /// CSR->tile conversion (the Fig. 12 numerator, excluded from core_ms());
+  /// the CSR row layout is booked in alloc_ms and the CSR write in
+  /// step3_ms. Bit-identical to tile_to_csr(try_run(...).c). On failure
+  /// `*timings` is untouched. Throwing twin: run_csr().
   template <class T>
   Expected<Csr<T>> try_run_csr(const Csr<T>& a, const Csr<T>& b,
                                TileSpgemmTimings* timings = nullptr);
@@ -228,14 +240,17 @@ class SpgemmContext {
   /// C = (A*B) .* structure(mask). C takes the mask's tile structure (tiles
   /// the product leaves empty included); its values are bit-identical to the
   /// plain product's on the mask's pattern, and entries outside that pattern
-  /// are never computed. Throwing twin: run_masked().
+  /// are never computed. `*timings`, when given, receives the run's
+  /// timings on success and is untouched on failure. Throwing twin:
+  /// run_masked().
   template <class T>
   Expected<TileMatrix<T>> try_run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                         const TileMatrix<T>& mask);
+                                         const TileMatrix<T>& mask,
+                                         TileSpgemmTimings* timings = nullptr);
   /// Throwing twin of try_run_masked(): identical parameters.
   template <class T>
   TileMatrix<T> run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                           const TileMatrix<T>& mask);
+                           const TileMatrix<T>& mask, TileSpgemmTimings* timings = nullptr);
 
   /// C = A (x) B over semiring S: steps 1-2 as for try_run, step 3 reduces
   /// combine(a, b) products from S::identity(). C has the structural
@@ -281,26 +296,52 @@ class SpgemmContext {
                           bool cache_pairs, bool fuse_light, const rowmask_t* out_mask,
                           TileSpgemmTimings& tm);
 
+  template <class T>
+  friend Csr<T> spgemm_tile_masked(const Csr<T>& a, const Csr<T>& b, const Csr<T>& mask,
+                                   const TileSpgemmOptions& options);
+  template <class Semiring, class T>
+  friend Csr<T> spgemm_semiring(const Csr<T>& a, const Csr<T>& b,
+                                const TileSpgemmOptions& options);
+
+  /// C in CSR with the run's timings: what run_impl<T, S, true> returns.
+  template <class T>
+  struct CsrResult {
+    Csr<T> c;
+    TileSpgemmTimings timings;
+  };
+  template <class T, bool kCsr>
+  using RunResult = std::conditional_t<kCsr, CsrResult<T>, TileSpgemmResult<T>>;
+
   /// Every try_run* that multiplies tile operands: checks shapes, validates
   /// A, B (and the mask, when given), and converts run_impl's exceptions.
   template <class T, class S>
   Expected<TileSpgemmResult<T>> try_run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                              const TileMatrix<T>* mask);
 
-  /// The pipeline body shared by single-shot and chunked execution, over
-  /// semiring S and with an optional output mask; throws (bad_alloc, Error)
-  /// rather than returning a Status — try_run_impl converts.
+  /// Every CSR-in/CSR-out product (try_run_csr, the masked and semiring
+  /// CSR wrappers): checks shapes, validates the CSR operands, converts
+  /// them to tiles (each distinct operand once) and runs the direct-CSR
+  /// pipeline. `*timings` is filled on success only.
   template <class T, class S>
-  TileSpgemmResult<T> run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                               const TileMatrix<T>* mask);
+  Expected<Csr<T>> try_run_impl(const Csr<T>& a, const Csr<T>& b, const Csr<T>* mask,
+                                TileSpgemmTimings* timings);
+
+  /// The pipeline body shared by single-shot and chunked execution, over
+  /// semiring S, with an optional output mask, writing C in tile form or
+  /// (kCsr) straight into CSR; throws (bad_alloc, Error) rather than
+  /// returning a Status — try_run_impl converts.
+  template <class T, class S, bool kCsr>
+  RunResult<T, kCsr> run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                              const TileMatrix<T>* mask);
 
   /// Chunked degradation: executes steps 2-3 tile-row range by range and
-  /// stitches the ranges into `result.c` (bit-identical to single-shot).
-  template <class T, class S>
+  /// appends the ranges to `result.c` — stitching tiles, or writing each
+  /// chunk's CSR rows in place (bit-identical to single-shot either way).
+  template <class T, class S, bool kCsr>
   void run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const std::vector<std::pair<index_t, index_t>>& chunks,
                    SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                   const rowmask_t* out_mask, TileSpgemmResult<T>& result);
+                   const rowmask_t* out_mask, RunResult<T, kCsr>& result);
 
   /// Raise kCancelled/kDeadlineExceeded when the active token tripped —
   /// the serial pipeline layer's check (parallel bodies only skip).
@@ -349,15 +390,19 @@ extern template Csr<double> SpgemmContext::run_csr(const Csr<double>&, const Csr
 extern template Csr<float> SpgemmContext::run_csr(const Csr<float>&, const Csr<float>&,
                                                   TileSpgemmTimings*);
 extern template Expected<TileMatrix<double>> SpgemmContext::try_run_masked(
-    const TileMatrix<double>&, const TileMatrix<double>&, const TileMatrix<double>&);
+    const TileMatrix<double>&, const TileMatrix<double>&, const TileMatrix<double>&,
+    TileSpgemmTimings*);
 extern template Expected<TileMatrix<float>> SpgemmContext::try_run_masked(
-    const TileMatrix<float>&, const TileMatrix<float>&, const TileMatrix<float>&);
+    const TileMatrix<float>&, const TileMatrix<float>&, const TileMatrix<float>&,
+    TileSpgemmTimings*);
 extern template TileMatrix<double> SpgemmContext::run_masked(const TileMatrix<double>&,
                                                              const TileMatrix<double>&,
-                                                             const TileMatrix<double>&);
+                                                             const TileMatrix<double>&,
+                                                             TileSpgemmTimings*);
 extern template TileMatrix<float> SpgemmContext::run_masked(const TileMatrix<float>&,
                                                             const TileMatrix<float>&,
-                                                            const TileMatrix<float>&);
+                                                            const TileMatrix<float>&,
+                                                            TileSpgemmTimings*);
 extern template TileMatrix<double> SpgemmContext::to_tile(const Csr<double>&);
 extern template TileMatrix<float> SpgemmContext::to_tile(const Csr<float>&);
 

@@ -177,6 +177,9 @@ struct SpgemmWorkspace {
   tracked_vector<offset_t> schedule;  ///< binned visit order over C tiles
   tracked_vector<detail::TileSlot> pair_slot;    ///< per tile, iff cache_pairs
   tracked_vector<detail::TileSlot> staged_slot;  ///< per tile, iff fuse_light
+  /// CSR output only: per C tile, the CSR position of each of its 16 local
+  /// rows (detail::csr_layout), consumed by step 3 as row cursors.
+  tracked_vector<offset_t> csr_row_off;
   std::vector<ThreadSlot> slots;      ///< one per worker thread
   /// Per-call cancellation token for step 1, which runs before an
   /// ExecutionPlan exists (the plan carries the token for steps 2/3).
@@ -215,7 +218,8 @@ struct SpgemmWorkspace {
                         detail::capacity_bytes(structure.tile_col_idx) +
                         detail::capacity_bytes(structure.tile_row_idx) +
                         detail::capacity_bytes(cost_bin) + detail::capacity_bytes(schedule) +
-                        detail::capacity_bytes(pair_slot) + detail::capacity_bytes(staged_slot);
+                        detail::capacity_bytes(pair_slot) + detail::capacity_bytes(staged_slot) +
+                        detail::capacity_bytes(csr_row_off);
     for (const std::vector<index_t>& row : step1_rows) {
       total += detail::capacity_bytes(row);
     }

@@ -1,21 +1,26 @@
 #include "core/step3.h"
 
+#include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "common/parallel.h"
 #include "core/simd_dispatch.h"
 #include "core/spgemm_workspace.h"
+#include "core/tile_convert.h"
 #include "core/tile_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace tsg {
 
-template <class T, class S>
+template <class T, class S, class Sink>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,
-                   const TileSpgemmOptions& options, TileMatrix<T>& c,
-                   SpgemmWorkspace<T>& ws, const ExecutionPlan& plan) {
+                   const TileSpgemmOptions& options, const Step2Result& symbolic,
+                   const Sink& sink, SpgemmWorkspace<T>& ws, const ExecutionPlan& plan) {
+  constexpr bool kCsr = std::is_same_v<Sink, CsrSink<T>>;
+  static_assert(kCsr || std::is_same_v<Sink, TileSink<T>>, "step 3 writes a TileSink or CsrSink");
   const offset_t ntiles = structure.num_tiles();
   ws.ensure_threads(max_workers());
   const bool use_cache =
@@ -63,23 +68,33 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
     const offset_t t = plan.order != nullptr ? plan.order[i] : i;
     const index_t tile_i = structure.tile_row_idx[static_cast<std::size_t>(t)];
     const index_t tile_j = structure.tile_col_idx[static_cast<std::size_t>(t)];
-    const index_t nnz_c = c.tile_nnz_of(t);
-    const offset_t nz_base = c.tile_nnz[static_cast<std::size_t>(t)];
-    const rowmask_t* mask_c = c.tile_mask(t);
-    const std::uint8_t* row_ptr_c = c.row_ptr.data() + static_cast<std::size_t>(t) * kTileDim;
+    const std::size_t rows_at = static_cast<std::size_t>(t) * kTileDim;
+    const offset_t nz_base = symbolic.tile_nnz[static_cast<std::size_t>(t)];
+    const auto nnz_c =
+        static_cast<index_t>(symbolic.tile_nnz[static_cast<std::size_t>(t) + 1] - nz_base);
+    const rowmask_t* mask_c = symbolic.mask.data() + rows_at;
+    const std::uint8_t* row_ptr_c = symbolic.row_ptr.data() + rows_at;
+    const index_t col_base = tile_j * kTileDim;
 
-    // Materialise the local row/column indices from the masks; the mask bit
-    // order is the storage order.
-    nops.materialize(mask_c, c.row_idx.data() + nz_base, c.col_idx.data() + nz_base);
-    if (nnz_c == 0) return;  // step 1 may keep tiles that turned out empty
+    // Step 1 may keep tiles that turned out empty. They have nothing to
+    // write, and when all of C is empty its arrays have no storage at all.
+    if (nnz_c == 0) return;
+    if constexpr (!kCsr) {
+      // Materialise the local row/column indices from the masks; the mask
+      // bit order is the storage order.
+      nops.materialize(mask_c, sink.row_idx + nz_base, sink.col_idx + nz_base);
+    }
 
     if (use_staged) {
       // Fused path: step 2 already accumulated this tile's values.
       const detail::TileSlot& s = ws.staged_slot[static_cast<std::size_t>(t)];
       if (s.count > 0) {
         const T* staged = ws.slot(static_cast<int>(s.thread)).staged.data() + s.offset;
-        for (index_t k = 0; k < nnz_c; ++k) {
-          c.val[static_cast<std::size_t>(nz_base + k)] = staged[k];
+        if constexpr (kCsr) {
+          detail::scatter_tile_rows(mask_c, staged, col_base, sink.row_off + rows_at,
+                                    sink.col_idx, sink.val);
+        } else {
+          std::copy_n(staged, nnz_c, sink.val + nz_base);
         }
         return;
       }
@@ -114,26 +129,42 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
       pair_count = pairs.size();
     }
 
-    // Accumulate straight into the tile's nnz_c values of C. The sparse
-    // path fills only those; the dense path zeroes only the accumulator
-    // rows it needs (see accumulate_pairs_dense).
-    T* out = c.val.data() + nz_base;
-    const bool dense =
-        plan.out_mask != nullptr
-            ? detail::accumulate_tile<S, true>(a, b, pair_data, pair_count, mask_c, row_ptr_c,
-                                               nnz_c, options, nops, out)
-            : detail::accumulate_tile<S, false>(a, b, pair_data, pair_count, mask_c, row_ptr_c,
-                                                nnz_c, options, nops, out);
+    // Tile output: accumulate straight into the tile's nnz_c values of C.
+    // The sparse path fills only those; the dense path zeroes only the
+    // accumulator rows it needs (see accumulate_pairs_dense). CSR output:
+    // the same kernels, in the same order, fill a full-tile local scratch
+    // whose rows are then scattered to their CSR positions.
+    auto accumulate = [&](T* out) {
+      return plan.out_mask != nullptr
+                 ? detail::accumulate_tile<S, true, kCsr>(a, b, pair_data, pair_count, mask_c,
+                                                          row_ptr_c, nnz_c, options, nops, out)
+                 : detail::accumulate_tile<S, false, kCsr>(a, b, pair_data, pair_count, mask_c,
+                                                           row_ptr_c, nnz_c, options, nops, out);
+    };
+    bool dense = false;
+    if constexpr (kCsr) {
+      alignas(64) T local[kTileNnzMax];
+      dense = accumulate(local);
+      detail::scatter_tile_rows(mask_c, local, col_base, sink.row_off + rows_at, sink.col_idx,
+                                sink.val);
+    } else {
+      dense = accumulate(sink.val + nz_base);
+    }
     if (detail_metrics) (dense ? m_dense : m_sparse).inc();
   });
 }
 
-#define TSG_STEP3_INSTANTIATE(S, T)                                                         \
-  template void step3_numeric<T, S>(const TileMatrix<T>&, const TileMatrix<T>&,             \
-                                    const TileLayoutCsc&, const TileStructure&,             \
-                                    const TileSpgemmOptions&, TileMatrix<T>&,               \
-                                    SpgemmWorkspace<T>&, const ExecutionPlan&);
+#define TSG_STEP3_INSTANTIATE_SINK(S, T, SINK)                                               \
+  template void step3_numeric<T, S, SINK<T>>(const TileMatrix<T>&, const TileMatrix<T>&,     \
+                                             const TileLayoutCsc&, const TileStructure&,     \
+                                             const TileSpgemmOptions&, const Step2Result&,   \
+                                             const SINK<T>&, SpgemmWorkspace<T>&,            \
+                                             const ExecutionPlan&);
+#define TSG_STEP3_INSTANTIATE(S, T)              \
+  TSG_STEP3_INSTANTIATE_SINK(S, T, TileSink) \
+  TSG_STEP3_INSTANTIATE_SINK(S, T, CsrSink)
 TSG_FOR_EACH_SEMIRING(TSG_STEP3_INSTANTIATE)
 #undef TSG_STEP3_INSTANTIATE
+#undef TSG_STEP3_INSTANTIATE_SINK
 
 }  // namespace tsg

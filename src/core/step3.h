@@ -16,22 +16,46 @@
 // staged and only need copying into place. Under an output mask, products
 // outside C's (mask-ANDed) row masks are skipped. Over a semiring other
 // than plus-times, every tile takes the generic sparse accumulator.
+//
+// C lands either in tile form or, for the CSR-out entry points, straight in
+// CSR: each tile is accumulated into a local 256-slot scratch and its rows
+// are scattered to their CSR positions, so C's tile arrays never exist.
 #pragma once
 
 #include "core/step2.h"
 
 namespace tsg {
 
-/// Numeric pass: fills the low-level arrays of C (row_idx/col_idx/val).
-/// `c` must already carry its high-level structure and the step-2 results;
-/// see spgemm_context.cpp for the assembly. `ws` holds the per-thread
-/// intersection scratch plus any pair-cache / staged-value records written
-/// by step 2 under the same plan. Instantiated in step3.cpp for
-/// TSG_FOR_EACH_SEMIRING.
-template <class T, class S = PlusTimes<T>>
+/// Step 3 writes C's tile form: the low-level arrays of a TileMatrix, each
+/// tile's nonzeros at its tile_nnz offset.
+template <class T>
+struct TileSink {
+  std::uint8_t* row_idx;
+  std::uint8_t* col_idx;
+  T* val;
+};
+
+/// Step 3 writes C straight into CSR: local row r of tile t starts at
+/// col_idx/val position row_off[16*t + r] (see detail::csr_layout). The
+/// offsets are consumed as cursors — each tile advances its own 16.
+template <class T>
+struct CsrSink {
+  offset_t* row_off;
+  index_t* col_idx;
+  T* val;
+};
+
+/// Numeric pass over the tiles of `structure`, reading their symbolic
+/// result from `symbolic` and writing through `sink` (TileSink<T> or
+/// CsrSink<T>; the choice is compile-time, so the tile output carries no
+/// trace of the CSR one). `ws` holds the per-thread intersection scratch
+/// plus any pair-cache / staged-value records written by step 2 under the
+/// same plan. Instantiated in step3.cpp for TSG_FOR_EACH_SEMIRING x both
+/// sinks.
+template <class T, class S, class Sink>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,
-                   const TileSpgemmOptions& options, TileMatrix<T>& c,
-                   SpgemmWorkspace<T>& ws, const ExecutionPlan& plan);
+                   const TileSpgemmOptions& options, const Step2Result& symbolic,
+                   const Sink& sink, SpgemmWorkspace<T>& ws, const ExecutionPlan& plan);
 
 }  // namespace tsg

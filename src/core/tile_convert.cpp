@@ -95,12 +95,17 @@ TileMatrix<T> csr_to_tile(const Csr<T>& a) {
     t.tile_nnz[static_cast<std::size_t>(i)] += t.tile_nnz[static_cast<std::size_t>(i - 1)];
   }
 
+  // Pass 2 writes every row_ptr entry (all 16 local rows of every tile)
+  // and every nonzero, so those arrays skip the serial zeroing pass and are
+  // first touched by the parallel scatter; the masks are OR-accumulated and
+  // must start zeroed.
   const std::size_t total_nnz = static_cast<std::size_t>(t.nnz());
-  t.row_ptr.assign(checked_size_mul(static_cast<std::size_t>(ntiles), kTileDim), 0);
-  t.mask.assign(checked_size_mul(static_cast<std::size_t>(ntiles), kTileDim), 0);
-  t.row_idx.resize(total_nnz);
-  t.col_idx.resize(total_nnz);
-  t.val.resize(total_nnz);
+  const std::size_t row_entries = checked_size_mul(static_cast<std::size_t>(ntiles), kTileDim);
+  assign_default_init(t.row_ptr, row_entries);
+  t.mask.assign(row_entries, 0);
+  assign_default_init(t.row_idx, total_nnz);
+  assign_default_init(t.col_idx, total_nnz);
+  assign_default_init(t.val, total_nnz);
 
   // Pass 2: scatter nonzeros into their tiles. Within a tile row, entries
   // arrive row-major with sorted columns, which is exactly the per-tile CSR
@@ -154,6 +159,45 @@ TileMatrix<T> csr_to_tile(const Csr<T>& a) {
   return t;
 }
 
+namespace detail {
+
+void csr_layout(const offset_t* tile_ptr, index_t first, index_t count, index_t rows,
+                const rowmask_t* mask, offset_t* row_ptr, offset_t* tile_row_off) {
+  const offset_t t0 = tile_ptr[first];
+  // Pass 1, per tile row in parallel: each original row's count is the sum
+  // of its row-mask popcounts across the tile row's tiles.
+  parallel_for(first, first + count, [&](index_t tr) {
+    index_t n[kTileDim] = {};
+    for (offset_t tile = tile_ptr[tr]; tile < tile_ptr[tr + 1]; ++tile) {
+      const rowmask_t* m = mask + static_cast<std::size_t>(tile - t0) * kTileDim;
+      for (index_t r = 0; r < kTileDim; ++r) n[r] += popcount16(m[r]);
+    }
+    const index_t rows_here = std::min<index_t>(kTileDim, rows - tr * kTileDim);
+    for (index_t r = 0; r < rows_here; ++r) row_ptr[tr * kTileDim + r + 1] = n[r];
+  });
+  const index_t row_end = std::min<index_t>((first + count) * kTileDim, rows);
+  for (index_t i = first * kTileDim; i < row_end; ++i) row_ptr[i + 1] += row_ptr[i];
+  if (tile_row_off == nullptr) return;
+
+  // Pass 2: a tile's local row starts where the same row of the tile row's
+  // earlier tiles ended.
+  parallel_for(first, first + count, [&](index_t tr) {
+    offset_t cursor[kTileDim];
+    for (index_t r = 0; r < kTileDim; ++r) {
+      cursor[r] = row_ptr[std::min<index_t>(tr * kTileDim + r, rows)];
+    }
+    for (offset_t tile = tile_ptr[tr]; tile < tile_ptr[tr + 1]; ++tile) {
+      const std::size_t at = static_cast<std::size_t>(tile - t0) * kTileDim;
+      for (index_t r = 0; r < kTileDim; ++r) {
+        tile_row_off[at + static_cast<std::size_t>(r)] = cursor[r];
+        cursor[r] += popcount16(mask[at + static_cast<std::size_t>(r)]);
+      }
+    }
+  });
+}
+
+}  // namespace detail
+
 template <class T>
 Csr<T> tile_to_csr(const TileMatrix<T>& t) {
   TSG_TRACE_SPAN("convert.tile_to_csr", t.nnz());
@@ -161,49 +205,28 @@ Csr<T> tile_to_csr(const TileMatrix<T>& t) {
   calls.inc();
   Csr<T> a(t.rows, t.cols);
   const std::size_t n = static_cast<std::size_t>(t.nnz());
-  // Pass 2 writes every element exactly once (a valid tile's row ranges
+  // The scatter writes every element exactly once (a valid tile's row masks
   // cover its nonzeros), so the arrays skip the serial zeroing pass and are
   // first touched by the parallel scatter.
   assign_default_init(a.col_idx, n);
   assign_default_init(a.val, n);
+  if (t.tile_rows == 0) return a;
+  detail::csr_layout(t.tile_ptr.data(), 0, t.tile_rows, t.rows, t.mask.data(),
+                     a.row_ptr.data(), nullptr);
 
-  // Pass 1, per tile row in parallel: each original row's count is the sum
-  // of its row-mask popcounts across the tile row's tiles.
+  // Per tile row in parallel: a tile row owns its 16 CSR rows, so 16 stack
+  // cursors suffice, and visiting its tiles in column order keeps every row
+  // sorted.
   parallel_for(index_t{0}, t.tile_rows, [&](index_t tr) {
-    index_t count[kTileDim] = {};
-    for (offset_t tile = t.tile_ptr[tr]; tile < t.tile_ptr[tr + 1]; ++tile) {
-      const rowmask_t* m = t.tile_mask(tile);
-      for (index_t r = 0; r < kTileDim; ++r) count[r] += popcount16(m[r]);
-    }
-    const index_t rows_here = std::min<index_t>(kTileDim, t.rows - tr * kTileDim);
-    for (index_t r = 0; r < rows_here; ++r) a.row_ptr[tr * kTileDim + r + 1] = count[r];
-  });
-  for (index_t i = 0; i < t.rows; ++i) a.row_ptr[i + 1] += a.row_ptr[i];
-
-  // Pass 2, per tile row in parallel: a tile row owns its 16 CSR rows, so
-  // 16 stack cursors suffice. Tiles within a tile row are sorted by column,
-  // so copying each tile's row runs in tile order keeps every row sorted.
-  parallel_for(index_t{0}, t.tile_rows, [&](index_t tr) {
-    const index_t row0 = tr * kTileDim;
-    const index_t rows_here = std::min<index_t>(kTileDim, t.rows - row0);
     offset_t cursor[kTileDim];
-    for (index_t r = 0; r < rows_here; ++r) cursor[r] = a.row_ptr[row0 + r];
+    for (index_t r = 0; r < kTileDim; ++r) {
+      cursor[r] = a.row_ptr[std::min<index_t>(tr * kTileDim + r, t.rows)];
+    }
     for (offset_t tile = t.tile_ptr[tr]; tile < t.tile_ptr[tr + 1]; ++tile) {
-      const index_t col_base = t.tile_col_idx[tile] * kTileDim;
-      const auto tile_base = static_cast<std::size_t>(t.tile_nnz[tile]);
-      for (index_t r = 0; r < rows_here; ++r) {
-        index_t lo, hi;
-        t.tile_row_range(tile, r, lo, hi);
-        const auto dst = static_cast<std::size_t>(cursor[r]);
-        const std::size_t src = tile_base + static_cast<std::size_t>(lo);
-        const auto len = static_cast<std::size_t>(hi - lo);
-        for (std::size_t k = 0; k < len; ++k) {
-          a.col_idx[dst + k] = col_base + t.col_idx[src + k];
-        }
-        std::copy_n(t.val.begin() + static_cast<std::ptrdiff_t>(src), len,
-                    a.val.begin() + static_cast<std::ptrdiff_t>(dst));
-        cursor[r] += static_cast<offset_t>(len);
-      }
+      detail::scatter_tile_rows(t.tile_mask(tile),
+                                t.val.data() + t.tile_nnz[static_cast<std::size_t>(tile)],
+                                t.tile_col_idx[static_cast<std::size_t>(tile)] * kTileDim,
+                                cursor, a.col_idx.data(), a.val.data());
     }
   });
   return a;

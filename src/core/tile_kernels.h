@@ -121,8 +121,9 @@ inline bool use_dense_accumulator(const TileSpgemmOptions& options, index_t nnz_
 /// returns whether the dense accumulator ran. PlusTimes takes the one the
 /// options pick; other semirings always take the generic sparse one.
 /// `out` may point into C's shared values: the dense path bounces through a
-/// local scratch when the level's compress over-stores.
-template <class S, bool kMasked, class T>
+/// local scratch when the level's compress over-stores, unless kRoomyOut
+/// says `out` has room for kTileNnzMax values.
+template <class S, bool kMasked, bool kRoomyOut = false, class T>
 inline bool accumulate_tile(const TileMatrix<T>& a, const TileMatrix<T>& b,
                             const MatchedPair* pairs, std::size_t pair_count,
                             const rowmask_t* mask_c, const std::uint8_t* row_ptr_c,
@@ -133,7 +134,7 @@ inline bool accumulate_tile(const TileMatrix<T>& a, const TileMatrix<T>& b,
     accumulate_pairs_sparse<S, kMasked>(a, b, pairs, pair_count, mask_c, row_ptr_c, out);
     return false;
   }
-  if (nops.compress_exact) {
+  if (kRoomyOut || nops.compress_exact) {
     accumulate_pairs_dense<kMasked>(a, b, pairs, pair_count, mask_c, out, nops);
   } else {
     T scratch[kTileNnzMax];

@@ -11,9 +11,9 @@
 //                      calls. Preferred for iterated workloads.
 //   * tile_spgemm()  — tile-format in/out through a transient context, with
 //                      per-step timings (Fig. 10)
-//   * spgemm_tile()  — CSR convenience wrapper (converts, multiplies,
-//                      converts back), the drop-in comparator used by the
-//                      benches and tests
+//   * spgemm_tile()  — CSR convenience wrapper (converts the operands,
+//                      multiplies with C written straight into CSR), the
+//                      drop-in comparator used by the benches and tests
 #pragma once
 
 #include <array>
@@ -38,7 +38,7 @@ struct TileSpgemmTimings {
   double step3_ms = 0.0;    ///< numeric accumulation
   double alloc_ms = 0.0;    ///< memory allocation for C (and views)
   double plan_ms = 0.0;     ///< cost model + binned schedule construction
-  double convert_ms = 0.0;  ///< CSR<->tile conversions (zero for tile-native runs)
+  double convert_ms = 0.0;  ///< CSR->tile operand conversion (zero for tile-native runs)
 
   /// Tiles per cost bin (bin 0 lightest); all zero when binning is off.
   std::array<offset_t, kCostBins> bin_tiles{};
@@ -89,10 +89,11 @@ template <class T>
 TileSpgemmResult<T> tile_spgemm(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                 const TileSpgemmOptions& options = {});
 
-/// CSR-to-CSR convenience wrapper. Conversion time is *not* part of the
-/// algorithm (the paper assumes operands already live in tile format,
-/// Section 4.6) but is reported in `timings->convert_ms`; pass `timings`
-/// to retrieve the per-step breakdown.
+/// CSR-to-CSR convenience wrapper (SpgemmContext::run_csr on a transient
+/// context). The operands' conversion time is *not* part of the algorithm
+/// (the paper assumes operands already live in tile format, Section 4.6)
+/// but is reported in `timings->convert_ms`; C is written straight into
+/// CSR by step 3. Pass `timings` to retrieve the per-step breakdown.
 template <class T>
 Csr<T> spgemm_tile(const Csr<T>& a, const Csr<T>& b, const TileSpgemmOptions& options = {},
                    TileSpgemmTimings* timings = nullptr);

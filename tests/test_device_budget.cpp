@@ -213,14 +213,17 @@ TEST(DeviceBudget, MaskedChunkedIsBitIdenticalToSingleShot) {
   SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
   const TileMatrix<double> gold = roomy.run_masked(ta, ta, ta);
 
-  // try_run_masked returns the matrix only; the run's chunk count is on the
-  // always-on spgemm.chunks counter.
+  // The chunk count shows both in the run's timings and on the always-on
+  // spgemm.chunks counter.
   const obs::Counter& chunks = obs::MetricsRegistry::instance().counter("spgemm.chunks");
   SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(1));
   const std::int64_t before = chunks.value();
-  Expected<TileMatrix<double>> run = squeezed.try_run_masked(ta, ta, ta);
+  TileSpgemmTimings timings;
+  Expected<TileMatrix<double>> run = squeezed.try_run_masked(ta, ta, ta, &timings);
   ASSERT_TRUE(run.ok()) << run.status().to_string();
   EXPECT_GT(chunks.value() - before, 1);
+  EXPECT_GT(timings.chunks, 1);
+  EXPECT_TRUE(timings.budget_limited);
   expect_tile_bit_identical(gold, *run);
   EXPECT_EQ(gold.mask, run->mask);
 }

@@ -204,6 +204,54 @@ TEST(FaultInjection, SeededRateIsDeterministic) {
   EXPECT_EQ(first, second);
 }
 
+TEST(FaultInjection, EveryCsrOutputAllocationSurfacesAsStatus) {
+  // try_run_csr's last tracked allocations are its CSR sink's buffers (row
+  // pointers, per-tile row offsets, column indices, values); the sweep
+  // fails each site in turn, those included.
+  const Csr<double> a = test::make_rmat_small();
+  SpgemmContext golden_ctx(config());
+  const Csr<double> golden = golden_ctx.run_csr(a, a);
+
+  std::uint64_t total = 0;
+  {
+    FaultPlan never;
+    never.fail_at = ~std::uint64_t{0};
+    FaultInjectionScope scope(never);
+    SpgemmContext ctx(config());
+    ASSERT_TRUE(ctx.try_run_csr(a, a).ok());
+    total = MemoryTracker::instance().tracked_allocs();
+  }
+  ASSERT_GT(total, 0u);
+
+  for (std::uint64_t n = 1; n <= total; ++n) {
+    const std::int64_t live_before = MemoryTracker::instance().current();
+    {
+      SpgemmContext ctx(config());
+      FaultPlan plan;
+      plan.fail_at = n;
+      TileSpgemmTimings timings;
+      timings.chunks = -1;
+      Expected<Csr<double>> result = [&] {
+        FaultInjectionScope faults(plan);
+        return ctx.try_run_csr(a, a, &timings);
+      }();
+      ASSERT_FALSE(result.ok()) << "site " << n << " of " << total << " did not trip";
+      EXPECT_EQ(result.status().code(), StatusCode::kAllocationFailed)
+          << "site " << n << ": " << result.status().to_string();
+      EXPECT_EQ(timings.chunks, -1) << "site " << n << ": timings written on failure";
+
+      Expected<Csr<double>> retry = ctx.try_run_csr(a, a);
+      ASSERT_TRUE(retry.ok()) << "context not reusable after injected fault at site " << n;
+      ASSERT_EQ(retry->row_ptr, golden.row_ptr) << "site " << n;
+      ASSERT_EQ(retry->col_idx, golden.col_idx) << "site " << n;
+      ASSERT_EQ(retry->val, golden.val) << "site " << n;
+    }
+    // Balanced accounting: with the context and every result gone, the
+    // tracker is back where the iteration started.
+    EXPECT_EQ(MemoryTracker::instance().current(), live_before) << "site " << n;
+  }
+}
+
 TEST(FaultInjection, MaskedAndCsrPathsSurfaceStatusToo) {
   const Csr<double> a = test::make_er_small();
   const TileMatrix<double> ta = csr_to_tile(a);

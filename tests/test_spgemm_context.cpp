@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "common/cancellation.h"
@@ -354,6 +355,47 @@ TEST(SpgemmContextStatus, MaskedAndSemiringHonourCancelAndDeadline) {
                        "semiring after cancel");
 }
 
+TEST(SpgemmContextStatus, CsrOutputHonoursCancelAndDeadline) {
+  const Csr<double> a = test::make_rmat_small();
+  const Csr<double> gold = spgemm_tile(a, a);
+  SpgemmContext ctx;
+  CancelSource cancelled;
+  cancelled.request_cancel();
+  CancelSource expired;
+  expired.set_deadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  const std::pair<CancelToken, StatusCode> tokens[] = {
+      {cancelled.token(), StatusCode::kCancelled},
+      {expired.token(), StatusCode::kDeadlineExceeded}};
+  for (const auto& [token, code] : tokens) {
+    ctx.set_cancel_token(token);
+    TileSpgemmTimings timings;
+    timings.chunks = -1;  // must stay untouched on failure
+    EXPECT_EQ(ctx.try_run_csr(a, a, &timings).status().code(), code);
+    EXPECT_EQ(timings.chunks, -1);
+  }
+  // Disarmed again, the same context multiplies bit-identically.
+  ctx.set_cancel_token(CancelToken{});
+  expect_bit_identical(ctx.run_csr(a, a), gold, "csr after cancel");
+}
+
+TEST(SpgemmContextStatus, MaskedTimingsFilledOnSuccessOnly) {
+  const TileMatrix<double> t = csr_to_tile(test::make_rmat_small());
+  SpgemmContext ctx;
+  TileSpgemmTimings timings;
+  ASSERT_TRUE(ctx.try_run_masked(t, t, t, &timings).ok());
+  EXPECT_EQ(timings.chunks, 1);
+  EXPECT_GT(timings.scheduled_tiles, 0);
+  EXPECT_EQ(timings.scheduled_tiles, t.num_tiles());
+
+  CancelSource cancelled;
+  cancelled.request_cancel();
+  ctx.set_cancel_token(cancelled.token());
+  TileSpgemmTimings untouched;
+  untouched.chunks = -1;
+  EXPECT_EQ(ctx.try_run_masked(t, t, t, &untouched).status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(untouched.chunks, -1);
+}
+
 TEST(SpgemmContextStatus, ExpectedAccessorsRoundTrip) {
   SpgemmContext ctx;
   const TileMatrix<double> ta = csr_to_tile(test::make_er_small());
@@ -386,6 +428,11 @@ static_assert(
     twin_pair(&SpgemmContext::run_masked<double>, &SpgemmContext::try_run_masked<double>));
 static_assert(
     twin_pair(&SpgemmContext::run_masked<float>, &SpgemmContext::try_run_masked<float>));
+// The masked twins report timings through the same out-param as run_csr.
+static_assert(std::is_same_v<decltype(&SpgemmContext::try_run_masked<double>),
+                             Expected<TileMatrix<double>> (SpgemmContext::*)(
+                                 const TileMatrix<double>&, const TileMatrix<double>&,
+                                 const TileMatrix<double>&, TileSpgemmTimings*)>);
 static_assert(twin_pair(&SpgemmContext::run_semiring<MinPlus<double>, double>,
                         &SpgemmContext::try_run_semiring<MinPlus<double>, double>));
 static_assert(twin_pair(&SpgemmContext::run_semiring<PlusTimes<float>, float>,
