@@ -4,12 +4,13 @@
 // Uses the masked-SpGEMM formulation on the strictly lower triangle:
 //   L = tril(A),  count = sum( (L * L) .* L )
 // Each surviving entry (i,j) counts the wedges i->k->j that close into a
-// triangle. The SpGEMM is TileSpGEMM; the element-wise mask comes from the
-// matrix/ops substrate. Verified against a brute-force count.
+// triangle. The product runs as one masked TileSpGEMM, so only the entries
+// on L's pattern are ever computed; L * L is never formed. Verified
+// against a brute-force count.
 #include <cstdint>
 #include <iostream>
 
-#include "core/tile_spgemm.h"
+#include "core/masked_spgemm.h"
 #include "gen/generators.h"
 #include "matrix/convert.h"
 #include "matrix/ops.h"
@@ -46,8 +47,7 @@ std::int64_t spgemm_triangles(const Csr<double>& adj) {
   Csr<double> ones = adj;
   for (auto& v : ones.val) v = 1.0;
   const Csr<double> l = tril_strict(ones);
-  const Csr<double> ll = spgemm_tile(l, l);
-  const Csr<double> masked = hadamard(ll, l);
+  const Csr<double> masked = spgemm_tile_masked(l, l, l);
   return static_cast<std::int64_t>(value_sum(masked) + 0.5);
 }
 

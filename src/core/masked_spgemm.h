@@ -5,10 +5,14 @@
 // counting computes (L*L).*L). The mask composes with the tile design
 // without a pipeline of its own: SpgemmContext::run_masked runs the one
 // SpGEMM pipeline with M's tile layout as step 1's output (pruning whole
-// output tiles before any arithmetic) and M's 16-bit row masks ANDed into
-// the step-2 symbolic masks, so products outside the mask are never
-// accumulated and the intermediate (L*L) is never materialised. Budget
-// degradation, cancellation and SIMD dispatch apply as for run().
+// output tiles before any arithmetic). Step 2 then finishes every tile in
+// one visit: it intersects once, ANDs each B row mask with M's row mask,
+// and accumulates only the products that survive, in the plain product's
+// order, into a buffer laid out like M (C is a subset of M). The hit masks
+// are C's structure, and step 3 only places the values. Products outside
+// the mask are never computed and the intermediate (L*L) is never
+// materialised. Budget degradation, cancellation and SIMD dispatch apply
+// as for run(); the pair-cache and fused-path settings have no effect.
 #pragma once
 
 #include "core/tile_spgemm.h"

@@ -102,20 +102,23 @@ std::string mb_string(std::size_t bytes) {
 /// steps 2-3: its symbolic result, output at the 256-nonzero tile maximum
 /// in the output's own format (tile: uint8 row/column index + value; CSR:
 /// index_t column + value, plus the 16 CSR row offsets), plus whatever the
-/// active plan caches per tile (matched pairs, staged fused values).
+/// active plan caches per tile (matched pairs, staged fused values), plus
+/// `bound_vals` values of a masked CSR run's bound buffer (a masked tile
+/// run's bound buffer is C's own values, already in the output share).
 /// Deliberately a bound, not an estimate — chunking decisions made from it
 /// are always safe.
 template <class T>
 std::size_t tile_bytes_bound(const TileMatrix<T>& a, const TileLayoutCsc& b_csc, index_t ti,
                              index_t tj, bool cache_pairs, bool fuse_light, int fuse_bin_cap,
-                             bool csr_out) {
+                             bool csr_out, std::size_t bound_vals) {
   const std::size_t output =
       csr_out ? static_cast<std::size_t>(kTileNnzMax) * (sizeof(index_t) + sizeof(T)) +
                     static_cast<std::size_t>(kTileDim) * sizeof(offset_t)
               : static_cast<std::size_t>(kTileNnzMax) * (2 * sizeof(std::uint8_t) + sizeof(T));
   std::size_t bytes =
       sizeof(offset_t) +
-      static_cast<std::size_t>(kTileDim) * (sizeof(std::uint8_t) + sizeof(rowmask_t)) + output;
+      static_cast<std::size_t>(kTileDim) * (sizeof(std::uint8_t) + sizeof(rowmask_t)) + output +
+      bound_vals * sizeof(T);
   const offset_t len_a = a.tile_ptr[static_cast<std::size_t>(ti) + 1] -
                          a.tile_ptr[static_cast<std::size_t>(ti)];
   const offset_t len_b = b_csc.col_ptr[static_cast<std::size_t>(tj) + 1] -
@@ -149,13 +152,16 @@ struct BudgetPlan {
 
 /// Bound the per-call footprint (pooled scratch after step 1 + per-tile
 /// staging) against the modeled device budget and, when it does not fit,
-/// greedily partition C's tile rows into chunks that each do. All byte
-/// arithmetic is overflow-checked and saturates to SIZE_MAX, which simply
-/// reads as "does not fit".
+/// greedily partition C's tile rows into chunks that each do. `mask_nnz` is
+/// the output mask's tile_nnz (null when unmasked), whose per-tile extents
+/// size a masked CSR run's bound buffer. All byte arithmetic is
+/// overflow-checked and saturates to SIZE_MAX, which simply reads as "does
+/// not fit".
 template <class T>
 BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                        const TileStructure& st, const SpgemmWorkspace<T>& ws, bool cache_pairs,
-                       bool fuse_light, int fuse_bin_cap, bool degrade, bool csr_out) {
+                       bool fuse_light, int fuse_bin_cap, bool degrade, bool csr_out,
+                       const offset_t* mask_nnz) {
   constexpr std::size_t kSat = static_cast<std::size_t>(-1);
   BudgetPlan out;
   out.budget = device_memory_budget_bytes();
@@ -182,8 +188,11 @@ BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
          t < st.tile_ptr[static_cast<std::size_t>(tr) + 1]; ++t) {
       const index_t ti = st.tile_row_idx[static_cast<std::size_t>(t)];
       const index_t tj = st.tile_col_idx[static_cast<std::size_t>(t)];
-      const std::size_t tb =
-          tile_bytes_bound(a, b_csc, ti, tj, cache_pairs, fuse_light, fuse_bin_cap, csr_out);
+      const std::size_t bound_vals = csr_out && mask_nnz != nullptr
+                                         ? static_cast<std::size_t>(mask_nnz[t + 1] - mask_nnz[t])
+                                         : 0;
+      const std::size_t tb = tile_bytes_bound(a, b_csc, ti, tj, cache_pairs, fuse_light,
+                                              fuse_bin_cap, csr_out, bound_vals);
       if (!checked_add(rb, tb, rb)) {
         rb = kSat;
         break;
@@ -307,6 +316,29 @@ CsrSink<T> append_output(SpgemmWorkspace<T>& ws, std::pair<index_t, index_t> ran
     c.val.resize(nnz);
   }
   return {ws.csr_row_off.data(), c.col_idx.data(), c.val.data()};
+}
+
+/// Masked runs: room for `n` values (M's nonzeros in this call or chunk),
+/// into which step 2 finishes C's values (see step2.h). Tile output: C's
+/// own values, appended after earlier chunks' and cut back to C's nnz by
+/// begin_output / append_output once step 2 has compacted them.
+template <class T>
+T* begin_bound(tracked_vector<T>&, std::size_t n, TileMatrix<T>& c) {
+  const std::size_t at = c.val.size();
+  if (at == 0) {
+    assign_default_init(c.val, n);
+  } else {
+    c.val.resize(at + n);
+  }
+  return c.val.data() + at;
+}
+
+/// CSR output: a separate buffer (reused across chunks) that step 3
+/// scatters to C's CSR positions.
+template <class T>
+T* begin_bound(tracked_vector<T>& bound, std::size_t n, Csr<T>&) {
+  if (bound.size() < n) assign_default_init(bound, n);
+  return bound.data();
 }
 
 /// Single-shot tile output: sized for step 3; the symbolic arrays and the
@@ -443,9 +475,11 @@ template <class T>
 ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                                        const TileStructure& structure, SpgemmWorkspace<T>& ws,
                                        bool cache_pairs, bool fuse_light,
-                                       const rowmask_t* out_mask, TileSpgemmTimings& tm) {
+                                       const rowmask_t* out_mask, const offset_t* out_bound,
+                                       TileSpgemmTimings& tm) {
   ExecutionPlan plan;
   plan.out_mask = out_mask;
+  plan.out_bound = out_bound;
   plan.cache_pairs = cache_pairs;
   plan.cache_min_bin = cfg_.pair_cache_min_bin;
   plan.fuse_light = fuse_light && cache_pairs;
@@ -456,7 +490,7 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
   const offset_t ntiles = structure.num_tiles();
   // Accumulated, not assigned: chunked execution builds one plan per chunk.
   tm.scheduled_tiles += ntiles;
-  if (!cfg_.cost_binning || ntiles == 0) return plan;
+  if (!cfg_.cost_binning || ntiles == 0 || !detail::fits_schedule(ntiles)) return plan;
 
   ScopedAccumulator scope(tm.plan_ms);
   TSG_TRACE_SPAN("plan", ntiles);
@@ -484,7 +518,7 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
   ws.schedule.resize(static_cast<std::size_t>(ntiles));
   for (offset_t t = 0; t < ntiles; ++t) {
     const auto bin = static_cast<std::size_t>(ws.cost_bin[static_cast<std::size_t>(t)]);
-    ws.schedule[static_cast<std::size_t>(cursor[bin]++)] = t;
+    ws.schedule[static_cast<std::size_t>(cursor[bin]++)] = static_cast<std::uint32_t>(t);
   }
   for (int bin = 0; bin < kCostBins; ++bin) {
     tm.bin_tiles[static_cast<std::size_t>(bin)] += count[static_cast<std::size_t>(bin)];
@@ -550,8 +584,10 @@ SpgemmContext::RunResult<T, kCsr> SpgemmContext::run_impl(const TileMatrix<T>& a
   // Budget decision: bound the per-call footprint now that step 1 fixed the
   // output's tile structure, and degrade in stages if it does not fit the
   // modeled device: first drop the pair cache / fused staging (the paper's
-  // recompute policy holds zero global intermediate state), then chunk.
-  bool cache_pairs = cfg_.options.cache_pairs;
+  // recompute policy holds zero global intermediate state), then chunk. A
+  // masked run has neither: step 2 finishes each of its tiles in one visit.
+  const offset_t* mask_nnz = mask != nullptr ? mask->tile_nnz.data() : nullptr;
+  bool cache_pairs = cfg_.options.cache_pairs && mask == nullptr;
   bool fuse_light = cfg_.fuse_light_tiles && cache_pairs;
   BudgetPlan budget;
   {
@@ -560,10 +596,10 @@ SpgemmContext::RunResult<T, kCsr> SpgemmContext::run_impl(const TileMatrix<T>& a
     // fuse_bin_cap >= kCostBins encodes "binning off: any tile may stage".
     const int fuse_bin_cap = cfg_.cost_binning ? cfg_.fuse_max_bin : kCostBins;
     budget = plan_budget(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light,
-                         fuse_bin_cap, cfg_.degrade_on_budget, kCsr);
+                         fuse_bin_cap, cfg_.degrade_on_budget, kCsr, mask_nnz);
     if (budget.limited && cache_pairs) {
       budget = plan_budget(a, ws.b_csc, ws.structure, ws, false, false, fuse_bin_cap,
-                           cfg_.degrade_on_budget, kCsr);
+                           cfg_.degrade_on_budget, kCsr, mask_nnz);
       cache_pairs = false;
       fuse_light = false;
       tm.pair_cache_dropped = true;
@@ -579,21 +615,31 @@ SpgemmContext::RunResult<T, kCsr> SpgemmContext::run_impl(const TileMatrix<T>& a
 
   // M's row masks line up with C's tiles: step 1 took M's tile structure.
   const rowmask_t* out_mask = mask != nullptr ? mask->mask.data() : nullptr;
+  // A masked CSR run's bound buffer (a masked tile run uses C's values).
+  tracked_vector<T> bound;
   if (budget.limited) {
-    run_chunked<T, S, kCsr>(a, b, budget.chunks, ws, cache_pairs, fuse_light, out_mask, result);
+    run_chunked<T, S, kCsr>(a, b, budget.chunks, ws, cache_pairs, fuse_light, out_mask,
+                            mask_nnz, bound, result);
     tm.chunks = static_cast<int>(budget.chunks.size());
   } else {
     // Cost model + binned schedule (plan_ms).
-    const ExecutionPlan plan =
-        make_plan(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light, out_mask, tm);
+    const ExecutionPlan plan = make_plan(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light,
+                                         out_mask, mask_nnz, tm);
+    T* masked_val = nullptr;
+    if (mask != nullptr) {
+      ScopedAccumulator scope(tm.alloc_ms);
+      TSG_TRACE_SPAN("alloc.bound");
+      masked_val = begin_bound(bound, static_cast<std::size_t>(mask->nnz()), result.c);
+    }
 
     // Step 2: per-tile symbolic -> nnz, row pointers, masks (and, under the
-    // fused plan, staged values for light tiles).
+    // fused plan, staged values for light tiles; under a mask, every value).
     Step2Result symbolic;
     {
       ScopedAccumulator scope(tm.step2_ms);
       TSG_TRACE_SPAN("step2", ws.structure.num_tiles());
-      symbolic = step2_symbolic<T, S>(a, b, ws.b_csc, ws.structure, cfg_.options, ws, plan);
+      symbolic = step2_symbolic<T, S>(a, b, ws.b_csc, ws.structure, cfg_.options, ws, plan,
+                                      masked_val);
     }
     // Stage boundary: a tile skipped by a tripped token left a hole in the
     // symbolic result — bail out before C is allocated from it.
@@ -613,7 +659,8 @@ SpgemmContext::RunResult<T, kCsr> SpgemmContext::run_impl(const TileMatrix<T>& a
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", ws.structure.num_tiles());
-      step3_numeric<T, S>(a, b, ws.b_csc, ws.structure, cfg_.options, symbolic, sink, ws, plan);
+      step3_numeric<T, S>(a, b, ws.b_csc, ws.structure, cfg_.options, symbolic, sink, ws, plan,
+                          masked_val);
     }
     // Stage boundary: values of skipped tiles were never written — the
     // partial C must not be returned as a result.
@@ -647,7 +694,8 @@ template <class T, class S, bool kCsr>
 void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                 const std::vector<std::pair<index_t, index_t>>& chunks,
                                 SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                                const rowmask_t* out_mask, RunResult<T, kCsr>& result) {
+                                const rowmask_t* out_mask, const offset_t* mask_nnz,
+                                tracked_vector<T>& bound, RunResult<T, kCsr>& result) {
   TileStructure& st = ws.structure;
   TileSpgemmTimings& tm = result.timings;
   {
@@ -687,15 +735,24 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                    st.tile_col_idx.begin() + static_cast<std::ptrdiff_t>(thi));
     }
 
+    const bool masked = out_mask != nullptr;
     const ExecutionPlan plan =
         make_plan(a, ws.b_csc, chunk_st, ws, cache_pairs, fuse_light,
-                  out_mask != nullptr ? out_mask + tlo * kTileDim : nullptr, tm);
+                  masked ? out_mask + tlo * kTileDim : nullptr,
+                  masked ? mask_nnz + tlo : nullptr, tm);
+    T* masked_val = nullptr;
+    if (masked) {
+      ScopedAccumulator scope(tm.alloc_ms);
+      masked_val =
+          begin_bound(bound, static_cast<std::size_t>(mask_nnz[thi] - mask_nnz[tlo]), result.c);
+    }
 
     Step2Result symbolic;
     {
       ScopedAccumulator scope(tm.step2_ms);
       TSG_TRACE_SPAN("step2", chunk_st.num_tiles());
-      symbolic = step2_symbolic<T, S>(a, b, ws.b_csc, chunk_st, cfg_.options, ws, plan);
+      symbolic = step2_symbolic<T, S>(a, b, ws.b_csc, chunk_st, cfg_.options, ws, plan,
+                                      masked_val);
     }
     check_cancelled();  // don't allocate this chunk's slice from a hole
     tm.fused_tiles += symbolic.fused_tiles;
@@ -711,7 +768,8 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", chunk_st.num_tiles());
-      step3_numeric<T, S>(a, b, ws.b_csc, chunk_st, cfg_.options, symbolic, sink, ws, plan);
+      step3_numeric<T, S>(a, b, ws.b_csc, chunk_st, cfg_.options, symbolic, sink, ws, plan,
+                          masked_val);
     }
     check_cancelled();  // don't keep a chunk whose values have holes
   }
@@ -737,6 +795,7 @@ Expected<TileSpgemmResult<T>> SpgemmContext::try_run_impl(const TileMatrix<T>& a
         !s.ok()) {
       return s;
     }
+    if (Status s = validate_mask_bounds(*mask, cfg_.validation); !s.ok()) return s;
   }
   try {
     return run_impl<T, S, false>(a, b, mask);

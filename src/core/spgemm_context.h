@@ -289,12 +289,13 @@ class SpgemmContext {
   /// structure, or one chunk of it under budget degradation). `cache_pairs`
   /// and `fuse_light` are passed in rather than read from cfg_ because the
   /// budget planner may have dropped them for this run (recompute fallback).
-  /// `out_mask` is the output mask's row masks for these tiles, or null.
+  /// `out_mask` / `out_bound` are the output mask's row masks and tile_nnz
+  /// from these tiles on, or null.
   template <class T>
   ExecutionPlan make_plan(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                           const TileStructure& structure, SpgemmWorkspace<T>& ws,
                           bool cache_pairs, bool fuse_light, const rowmask_t* out_mask,
-                          TileSpgemmTimings& tm);
+                          const offset_t* out_bound, TileSpgemmTimings& tm);
 
   template <class T>
   friend Csr<T> spgemm_tile_masked(const Csr<T>& a, const Csr<T>& b, const Csr<T>& mask,
@@ -337,11 +338,13 @@ class SpgemmContext {
   /// Chunked degradation: executes steps 2-3 tile-row range by range and
   /// appends the ranges to `result.c` — stitching tiles, or writing each
   /// chunk's CSR rows in place (bit-identical to single-shot either way).
+  /// A masked CSR run reuses `bound` as each chunk's bound buffer.
   template <class T, class S, bool kCsr>
   void run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const std::vector<std::pair<index_t, index_t>>& chunks,
                    SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                   const rowmask_t* out_mask, RunResult<T, kCsr>& result);
+                   const rowmask_t* out_mask, const offset_t* mask_nnz,
+                   tracked_vector<T>& bound, RunResult<T, kCsr>& result);
 
   /// Raise kCancelled/kDeadlineExceeded when the active token tripped —
   /// the serial pipeline layer's check (parallel bodies only skip).

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -84,6 +85,14 @@ struct StampedTileSet {
   std::size_t bytes() const { return capacity_bytes(seen) + capacity_bytes(cols); }
 };
 
+/// Whether a call (or chunk) of `ntiles` C tiles fits the binned schedule,
+/// which stores its visit order as 32-bit tile ids. A larger one runs in the
+/// natural tile order instead: binning is pure scheduling, so the result is
+/// the same either way.
+constexpr bool fits_schedule(offset_t ntiles) {
+  return ntiles <= static_cast<offset_t>(std::numeric_limits<std::uint32_t>::max());
+}
+
 }  // namespace detail
 
 /// Per-call execution schedule handed to steps 2 and 3 by SpgemmContext.
@@ -92,7 +101,7 @@ struct StampedTileSet {
 /// scheduler places heavy bins first so the long-pole tiles are dispatched
 /// before the dynamically scheduled loop runs out of parallel slack.
 struct ExecutionPlan {
-  const offset_t* order = nullptr;  ///< visit order over C tiles; null = natural
+  const std::uint32_t* order = nullptr;  ///< visit order over C tiles; null = natural
   /// Per-tile cost bin (the scheduler's ws.cost_bin), null when binning is
   /// off. Lets the pair cache be selected per cost bin: re-intersecting a
   /// light tile costs less than staging and reloading its pairs, so only
@@ -100,9 +109,16 @@ struct ExecutionPlan {
   /// recompute policy. Results are bit-identical either way.
   const std::uint8_t* tile_bin = nullptr;
   /// Output mask M's 16 row masks per tile, indexed like C's (offset to the
-  /// chunk's first tile), or null for an unmasked product. Step 2 ANDs them
-  /// into C's symbolic masks; steps 2 and 3 then skip products outside.
+  /// chunk's first tile), or null for an unmasked product. A masked product
+  /// takes step 2's masked route: every tile is finished in one visit, its
+  /// values accumulated in mask-rank slots (see step2.h).
   const rowmask_t* out_mask = nullptr;
+  /// M's tile_nnz from the chunk's first tile on (null when unmasked). C is a
+  /// subset of M, so out_bound[t] - out_bound[0] is a safe place for tile t's
+  /// values in the bound buffer step 2 fills.
+  const offset_t* out_bound = nullptr;
+  /// The pair cache and the fused path below are off for a masked product:
+  /// its route already visits each tile once.
   bool cache_pairs = false;         ///< record matched pairs for step 3
   int cache_min_bin = 0;            ///< lowest cost bin that caches pairs
   bool fuse_light = false;          ///< fuse step 3 into step 2 for light tiles
@@ -174,7 +190,7 @@ struct SpgemmWorkspace {
   TileStructure structure;
   std::vector<std::vector<index_t>> step1_rows;  ///< step-1 per-tile-row columns
   tracked_vector<std::uint8_t> cost_bin;  ///< per-tile cost bin 0..3 (scheduler scratch)
-  tracked_vector<offset_t> schedule;  ///< binned visit order over C tiles
+  tracked_vector<std::uint32_t> schedule;  ///< binned visit order (see fits_schedule)
   tracked_vector<detail::TileSlot> pair_slot;    ///< per tile, iff cache_pairs
   tracked_vector<detail::TileSlot> staged_slot;  ///< per tile, iff fuse_light
   /// CSR output only: per C tile, the CSR position of each of its 16 local

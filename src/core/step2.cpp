@@ -1,7 +1,9 @@
 #include "core/step2.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "common/parallel.h"
 #include "common/status.h"
@@ -22,7 +24,7 @@ template <class T, class S>
 Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileLayoutCsc& b_csc, const TileStructure& structure,
                            const TileSpgemmOptions& options, SpgemmWorkspace<T>& ws,
-                           const ExecutionPlan& plan) {
+                           const ExecutionPlan& plan, T* masked_val) {
   const offset_t ntiles = structure.num_tiles();
   Step2Result out;
   out.tile_nnz.assign(static_cast<std::size_t>(ntiles) + 1, 0);
@@ -47,6 +49,10 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
       lvl >= simd::Level::kAvx2 ? &simd::symbolic_ops(lvl) : nullptr;
   const simd::NumericOps& nops = simd::numeric_ops(lvl);
   const bool masked = plan.out_mask != nullptr;
+  // Masked route: mask tiles above tnnz keep the dispatched dense kernel
+  // (plus-times only, as for unmasked tiles); the rest walk the kept
+  // products alone (accumulate_masked_sparse).
+  const bool dense_capable = std::is_same_v<S, PlusTimes<T>>;
 
   // Per-tile detail instruments, resolved once per call. The gate is read
   // once here: flipping it mid-run only affects the next call.
@@ -79,6 +85,18 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
     const int tid = worker_rank();
     typename SpgemmWorkspace<T>::ThreadSlot& slot = ws.slot(tid);
 
+    // Masked route: tile t's values go to its bound slice of masked_val (M's
+    // tile nnz, which C's tile cannot exceed). An empty mask tile has no
+    // output and needs no intersection.
+    const std::size_t base = static_cast<std::size_t>(t) * kTileDim;
+    index_t bound_nnz = 0;
+    T* bound_out = nullptr;
+    if (masked) {
+      bound_nnz = static_cast<index_t>(plan.out_bound[t + 1] - plan.out_bound[t]);
+      if (bound_nnz == 0) return;
+      bound_out = masked_val + (plan.out_bound[t] - plan.out_bound[0]);
+    }
+
     // Set intersection of A's tile row `tile_i` with B's tile column
     // `tile_j` (Algorithm 2 lines 4-18).
     std::vector<MatchedPair>& pairs = slot.pairs;
@@ -91,13 +109,37 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                     b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
                     options.intersect, pairs);
 
+    if (detail_metrics) m_pairs.add(static_cast<std::int64_t>(pairs.size()));
+    index_t count = 0;
+    std::uint8_t* row_ptr_out = out.row_ptr.data() + base;
+    rowmask_t* mask_out = out.mask.data() + base;
+    const bool masked_dense =
+        masked && dense_capable && detail::use_dense_accumulator(options, bound_nnz);
+    if (masked && !masked_dense) {
+      // One visit: the kept products accumulate into mask-rank slots, and
+      // the hit mask they leave is the tile's symbolic result.
+      rowmask_t hit[kTileDim];
+      count = detail::accumulate_masked_sparse<S>(a, b, pairs.data(), pairs.size(),
+                                                  plan.out_mask + base, bound_out, hit);
+      if (count > 0) {
+        index_t at = 0;
+        for (index_t r = 0; r < kTileDim; ++r) {
+          mask_out[r] = hit[r];
+          row_ptr_out[r] = static_cast<std::uint8_t>(at);
+          at += popcount16(hit[r]);
+        }
+      }
+      out.tile_nnz[static_cast<std::size_t>(t) + 1] = count;
+      if (detail_metrics) {
+        m_tile_nnz.observe(count);
+        if (count > 0) m_fused_sparse.inc();
+      }
+      return;
+    }
+
     // OR the selected row masks of B into the C masks (Algorithm 2 lines
     // 19-25, Figure 5): each nonzero of A_ik at local (r, c) contributes
     // row c of B_kj's mask to row r of C_ij's mask.
-    index_t count = 0;
-    const std::size_t base = static_cast<std::size_t>(t) * kTileDim;
-    std::uint8_t* row_ptr_out = out.row_ptr.data() + base;
-    rowmask_t* mask_out = out.mask.data() + base;
     // The packed family derives into these stack locals and copies the 48
     // bytes out; the fused numeric path below then reads the still-hot
     // locals instead of reloading the tile's slice of the global symbolic
@@ -202,12 +244,17 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
       }
     }
     out.tile_nnz[static_cast<std::size_t>(t) + 1] = count;
-    if (detail_metrics) {
-      m_pairs.add(static_cast<std::int64_t>(pairs.size()));
-      m_tile_nnz.observe(count);
-    }
+    if (detail_metrics) m_tile_nnz.observe(count);
 
-    if (fuse && plan.fuses_tile(t, count)) {
+    if (masked) {
+      // Dense mask tile: the pairs are still hot, so accumulate now under
+      // the mask-ANDed symbolic result (masked_dense holds here).
+      if (count > 0) {
+        detail::accumulate_dense_into<true, false>(a, b, pairs.data(), pairs.size(), mask_src,
+                                                   count, nops, bound_out);
+        if (detail_metrics) m_fused_dense.inc();
+      }
+    } else if (fuse && plan.fuses_tile(t, count)) {
       // Fused numeric, selected per cost bin by the planner: the tile's
       // structure is fully known, its matched pairs are still hot, and the
       // packed family's symbolic result is still in the stack locals, so
@@ -216,11 +263,8 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
       const std::size_t at = slot.staged.size();
       slot.staged.resize(at + static_cast<std::size_t>(count));
       T* staged = slot.staged.data() + at;
-      const bool dense =
-          masked ? detail::accumulate_tile<S, true>(a, b, pairs.data(), pairs.size(), mask_src,
-                                                    rp_src, count, options, nops, staged)
-                 : detail::accumulate_tile<S, false>(a, b, pairs.data(), pairs.size(), mask_src,
-                                                     rp_src, count, options, nops, staged);
+      const bool dense = detail::accumulate_tile<S>(a, b, pairs.data(), pairs.size(), mask_src,
+                                                    rp_src, count, options, nops, staged);
       if (detail_metrics) (dense ? m_fused_dense : m_fused_sparse).inc();
       ws.staged_slot[static_cast<std::size_t>(t)] = {static_cast<std::uint32_t>(tid),
                                                      static_cast<offset_t>(at),
@@ -238,9 +282,19 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
     }
   });
 
-  // Offsets for allocating C (serial scan: numtiles is small relative to nnz).
+  // Offsets for allocating C (serial scan: numtiles is small relative to
+  // nnz). A masked run's values move from their bound slices down to these
+  // offsets, in tile order: no offset exceeds its bound, so every move goes
+  // down and reads nothing an earlier move wrote.
   for (offset_t t = 0; t < ntiles; ++t) {
-    out.tile_nnz[static_cast<std::size_t>(t) + 1] += out.tile_nnz[static_cast<std::size_t>(t)];
+    const offset_t at = out.tile_nnz[static_cast<std::size_t>(t)];
+    const offset_t count = out.tile_nnz[static_cast<std::size_t>(t) + 1];
+    if (masked && count > 0) {
+      ++out.fused_tiles;
+      const T* from = masked_val + (plan.out_bound[t] - plan.out_bound[0]);
+      if (from != masked_val + at) std::copy(from, from + count, masked_val + at);
+    }
+    out.tile_nnz[static_cast<std::size_t>(t) + 1] = at + count;
   }
   if (fuse) {
     for (const detail::TileSlot& s : ws.staged_slot) {
@@ -254,7 +308,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
   template Step2Result step2_symbolic<T, S>(const TileMatrix<T>&, const TileMatrix<T>&,    \
                                             const TileLayoutCsc&, const TileStructure&,    \
                                             const TileSpgemmOptions&, SpgemmWorkspace<T>&, \
-                                            const ExecutionPlan&);
+                                            const ExecutionPlan&, T*);
 TSG_FOR_EACH_SEMIRING(TSG_STEP2_INSTANTIATE)
 #undef TSG_STEP2_INSTANTIATE
 

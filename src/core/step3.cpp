@@ -18,7 +18,8 @@ template <class T, class S, class Sink>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,
                    const TileSpgemmOptions& options, const Step2Result& symbolic,
-                   const Sink& sink, SpgemmWorkspace<T>& ws, const ExecutionPlan& plan) {
+                   const Sink& sink, SpgemmWorkspace<T>& ws, const ExecutionPlan& plan,
+                   const T* masked_val) {
   constexpr bool kCsr = std::is_same_v<Sink, CsrSink<T>>;
   static_assert(kCsr || std::is_same_v<Sink, TileSink<T>>, "step 3 writes a TileSink or CsrSink");
   const offset_t ntiles = structure.num_tiles();
@@ -85,6 +86,16 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
       nops.materialize(mask_c, sink.row_idx + nz_base, sink.col_idx + nz_base);
     }
 
+    if (plan.out_mask != nullptr) {
+      // Masked: step 2 finished the tile. Tile output already holds its
+      // values in place; CSR output scatters them from the bound buffer.
+      if constexpr (kCsr) {
+        detail::scatter_tile_rows(mask_c, masked_val + nz_base, col_base,
+                                  sink.row_off + rows_at, sink.col_idx, sink.val);
+      }
+      return;
+    }
+
     if (use_staged) {
       // Fused path: step 2 already accumulated this tile's values.
       const detail::TileSlot& s = ws.staged_slot[static_cast<std::size_t>(t)];
@@ -135,11 +146,8 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
     // the same kernels, in the same order, fill a full-tile local scratch
     // whose rows are then scattered to their CSR positions.
     auto accumulate = [&](T* out) {
-      return plan.out_mask != nullptr
-                 ? detail::accumulate_tile<S, true, kCsr>(a, b, pair_data, pair_count, mask_c,
-                                                          row_ptr_c, nnz_c, options, nops, out)
-                 : detail::accumulate_tile<S, false, kCsr>(a, b, pair_data, pair_count, mask_c,
-                                                           row_ptr_c, nnz_c, options, nops, out);
+      return detail::accumulate_tile<S, kCsr>(a, b, pair_data, pair_count, mask_c, row_ptr_c,
+                                              nnz_c, options, nops, out);
     };
     bool dense = false;
     if constexpr (kCsr) {
@@ -159,7 +167,7 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                              const TileLayoutCsc&, const TileStructure&,     \
                                              const TileSpgemmOptions&, const Step2Result&,   \
                                              const SINK<T>&, SpgemmWorkspace<T>&,            \
-                                             const ExecutionPlan&);
+                                             const ExecutionPlan&, const T*);
 #define TSG_STEP3_INSTANTIATE(S, T)              \
   TSG_STEP3_INSTANTIATE_SINK(S, T, TileSink) \
   TSG_STEP3_INSTANTIATE_SINK(S, T, CsrSink)

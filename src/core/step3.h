@@ -13,8 +13,9 @@
 // When the ExecutionPlan enabled the pair cache, step 2 left each tile's
 // matched pairs in the workspace and this pass skips the re-intersection;
 // when it enabled fusion, light tiles arrive with their values already
-// staged and only need copying into place. Under an output mask, products
-// outside C's (mask-ANDed) row masks are skipped. Over a semiring other
+// staged and only need copying into place. A masked product arrives with
+// every value already computed (step 2's masked route): this pass only
+// materialises C's indices and places the values. Over a semiring other
 // than plus-times, every tile takes the generic sparse accumulator.
 //
 // C lands either in tile form or, for the CSR-out entry points, straight in
@@ -50,12 +51,15 @@ struct CsrSink {
 /// CsrSink<T>; the choice is compile-time, so the tile output carries no
 /// trace of the CSR one). `ws` holds the per-thread intersection scratch
 /// plus any pair-cache / staged-value records written by step 2 under the
-/// same plan. Instantiated in step3.cpp for TSG_FOR_EACH_SEMIRING x both
-/// sinks.
+/// same plan. Under a mask, `masked_val` is step 2's bound buffer, holding
+/// C's values at its tile offsets; a TileSink's values are that buffer, so
+/// only a CsrSink reads it. Instantiated in step3.cpp for
+/// TSG_FOR_EACH_SEMIRING x both sinks.
 template <class T, class S, class Sink>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,
                    const TileSpgemmOptions& options, const Step2Result& symbolic,
-                   const Sink& sink, SpgemmWorkspace<T>& ws, const ExecutionPlan& plan);
+                   const Sink& sink, SpgemmWorkspace<T>& ws, const ExecutionPlan& plan,
+                   const T* masked_val);
 
 }  // namespace tsg

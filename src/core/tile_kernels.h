@@ -4,13 +4,12 @@
 // is already known; all state fits in registers / L1, mirroring the paper's
 // warp-local accumulation (Algorithm 3).
 //
-// Two compile-time parameters cover every product the engine runs:
-//   * S, the semiring (semiring.h). PlusTimes<T> takes the dispatched
-//     sparse/dense kernels; any other semiring takes the generic sparse
-//     accumulator (identity fill, then reduce(slot, combine(va, vb))).
-//   * kMasked, set when an output mask was ANDed into the tile's row masks
-//     in step 2. Those masks are then no longer the OR of B's rows, so
-//     products outside them must be skipped rather than scattered.
+// The semiring S (semiring.h) is a compile-time parameter: PlusTimes<T>
+// takes the dispatched sparse/dense kernels; any other semiring takes the
+// generic sparse accumulator (identity fill, then reduce(slot, combine(va,
+// vb))). A masked product has kernels of its own: accumulate_masked_sparse
+// walks only the products the mask keeps, and the dense kernel's kMasked
+// form serves mask tiles above tnnz.
 #pragma once
 
 #include <algorithm>
@@ -31,7 +30,7 @@ namespace detail {
 /// indexing (Algorithm 3 lines 4-12): the final position of column cb in
 /// C's local row r is row_ptr[r] + rank of cb in mask[r]. For PlusTimes the
 /// reduce(slot, combine(va, vb)) below is exactly `slot += va * vb`.
-template <class S, bool kMasked, class T>
+template <class S, class T>
 inline void accumulate_pairs_sparse(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                     const MatchedPair* pairs, std::size_t pair_count,
                                     const rowmask_t* mask_c, const std::uint8_t* row_ptr_c,
@@ -50,16 +49,77 @@ inline void accumulate_pairs_sparse(const TileMatrix<T>& a, const TileMatrix<T>&
       b.tile_row_range(p.tile_b, col_a, lo, hi);
       const std::uint8_t base = row_ptr_c[r];
       const rowmask_t m = mask_c[r];
-      if (kMasked && m == 0) continue;  // whole output row masked away
       for (index_t kb = lo; kb < hi; ++kb) {
         const std::size_t gb = static_cast<std::size_t>(b_nz + kb);
         const index_t cb = b.col_idx[gb];
-        if (kMasked && (m & bit_of(cb)) == 0) continue;  // outside the mask
         T& slot = slots[base + mask_rank(m, cb)];
         slot = S::reduce(slot, S::combine(va, b.val[gb]));
       }
     }
   }
+}
+
+/// One output tile of a masked product, C = (A*B) .* M, accumulated over
+/// semiring S from the products M keeps and nothing else. For each A
+/// nonzero (r, k) in pair order, then A storage order, keep = B's row mask
+/// k & M's row mask r; each set bit c of keep adds one term to slot (r, c),
+/// indexed by its rank in M's tile and filled with S::identity() first.
+/// Every (r, c) thus sums the same terms in the same order as the unmasked
+/// kernels. The OR of the keeps is C's symbolic result: it lands in
+/// `hit`, and the hit slots are compressed in place to out[0, count), in
+/// mask bit order. `out` needs room for M's tile nnz. Returns count.
+template <class S, class T>
+inline index_t accumulate_masked_sparse(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                        const MatchedPair* pairs, std::size_t pair_count,
+                                        const rowmask_t* mask_m, T* out, rowmask_t* hit) {
+  std::uint8_t slot_base[kTileDim];
+  index_t nnz_m = 0;
+  for (index_t r = 0; r < kTileDim; ++r) {
+    slot_base[r] = static_cast<std::uint8_t>(nnz_m);
+    nnz_m += popcount16(mask_m[r]);
+    hit[r] = 0;
+  }
+  std::fill_n(out, nnz_m, S::identity());
+  for (std::size_t pi = 0; pi < pair_count; ++pi) {
+    const MatchedPair& p = pairs[pi];
+    const offset_t a_nz = a.tile_nnz[p.tile_a];
+    const index_t a_cnt = a.tile_nnz_of(p.tile_a);
+    const rowmask_t* mask_b = b.tile_mask(p.tile_b);
+    const std::uint8_t* row_ptr_b =
+        b.row_ptr.data() + static_cast<std::size_t>(p.tile_b) * kTileDim;
+    const T* val_b = b.val.data() + b.tile_nnz[p.tile_b];
+    for (index_t k = 0; k < a_cnt; ++k) {
+      const std::size_t ga = static_cast<std::size_t>(a_nz + k);
+      const index_t r = a.row_idx[ga];
+      const index_t col_a = a.col_idx[ga];
+      const rowmask_t row_b = mask_b[col_a];
+      const rowmask_t row_m = mask_m[r];
+      unsigned keep = static_cast<unsigned>(row_b & row_m);
+      if (keep == 0) continue;
+      hit[r] = static_cast<rowmask_t>(hit[r] | keep);
+      const T va = a.val[ga];
+      const T* vb = val_b + row_ptr_b[col_a];
+      T* slots = out + slot_base[r];
+      do {
+        const auto c = static_cast<index_t>(std::countr_zero(keep));
+        T& slot = slots[mask_rank(row_m, c)];
+        slot = S::reduce(slot, S::combine(va, vb[mask_rank(row_b, c)]));
+        keep &= keep - 1;
+      } while (keep != 0);
+    }
+  }
+  // Compress: walk M's slots in bit order and keep the hit ones. The write
+  // cursor never passes the read cursor, so this is safe in place.
+  index_t count = 0;
+  for (index_t r = 0; r < kTileDim; ++r) {
+    const unsigned h = hit[r];
+    if (h == 0) continue;
+    unsigned m = mask_m[r];
+    for (index_t at = slot_base[r]; m != 0; ++at, m &= m - 1) {
+      if ((h >> std::countr_zero(m)) & 1u) out[count++] = out[at];
+    }
+  }
+  return count;
 }
 
 /// The accumulate kernel's view of one matched pair.
@@ -108,6 +168,23 @@ inline void accumulate_pairs_dense(const TileMatrix<T>& a, const TileMatrix<T>& 
   simd::compress_tile<T>(nops, acc, mask_c, out);
 }
 
+/// accumulate_pairs_dense into `out`, which has room for nnz_c values (or
+/// kTileNnzMax under kRoomyOut): bounces through a local scratch when the
+/// level's compress over-stores.
+template <bool kMasked, bool kRoomyOut, class T>
+inline void accumulate_dense_into(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                  const MatchedPair* pairs, std::size_t pair_count,
+                                  const rowmask_t* mask_c, index_t nnz_c,
+                                  const simd::NumericOps& nops, T* out) {
+  if (kRoomyOut || nops.compress_exact) {
+    accumulate_pairs_dense<kMasked>(a, b, pairs, pair_count, mask_c, out, nops);
+  } else {
+    T scratch[kTileNnzMax];
+    accumulate_pairs_dense<kMasked>(a, b, pairs, pair_count, mask_c, scratch, nops);
+    std::copy_n(scratch, nnz_c, out);
+  }
+}
+
 /// Whether tile-level accumulation should take the dense 256-slot path for
 /// an output tile of `nnz_c` nonzeros under the given options. Keeping the
 /// predicate in one place guarantees the fused step-2 path and the staged
@@ -122,8 +199,8 @@ inline bool use_dense_accumulator(const TileSpgemmOptions& options, index_t nnz_
 /// options pick; other semirings always take the generic sparse one.
 /// `out` may point into C's shared values: the dense path bounces through a
 /// local scratch when the level's compress over-stores, unless kRoomyOut
-/// says `out` has room for kTileNnzMax values.
-template <class S, bool kMasked, bool kRoomyOut = false, class T>
+/// says `out` has room for kTileNnzMax values. Unmasked products only.
+template <class S, bool kRoomyOut = false, class T>
 inline bool accumulate_tile(const TileMatrix<T>& a, const TileMatrix<T>& b,
                             const MatchedPair* pairs, std::size_t pair_count,
                             const rowmask_t* mask_c, const std::uint8_t* row_ptr_c,
@@ -131,16 +208,10 @@ inline bool accumulate_tile(const TileMatrix<T>& a, const TileMatrix<T>& b,
                             const simd::NumericOps& nops, T* out) {
   if (!std::is_same_v<S, PlusTimes<T>> || !use_dense_accumulator(options, nnz_c)) {
     std::fill_n(out, nnz_c, S::identity());
-    accumulate_pairs_sparse<S, kMasked>(a, b, pairs, pair_count, mask_c, row_ptr_c, out);
+    accumulate_pairs_sparse<S>(a, b, pairs, pair_count, mask_c, row_ptr_c, out);
     return false;
   }
-  if (kRoomyOut || nops.compress_exact) {
-    accumulate_pairs_dense<kMasked>(a, b, pairs, pair_count, mask_c, out, nops);
-  } else {
-    T scratch[kTileNnzMax];
-    accumulate_pairs_dense<kMasked>(a, b, pairs, pair_count, mask_c, scratch, nops);
-    std::copy_n(scratch, nnz_c, out);
-  }
+  accumulate_dense_into<false, kRoomyOut>(a, b, pairs, pair_count, mask_c, nnz_c, nops, out);
   return true;
 }
 

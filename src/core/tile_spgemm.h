@@ -34,8 +34,8 @@ namespace tsg {
 /// plus the scheduling/fusion counters of the SpgemmContext engine.
 struct TileSpgemmTimings {
   double step1_ms = 0.0;    ///< tile-structure symbolic SpGEMM
-  double step2_ms = 0.0;    ///< per-tile symbolic (intersection + masks)
-  double step3_ms = 0.0;    ///< numeric accumulation
+  double step2_ms = 0.0;    ///< per-tile symbolic (intersection + masks); masked: also numeric
+  double step3_ms = 0.0;    ///< numeric accumulation; masked: index and value placement only
   double alloc_ms = 0.0;    ///< memory allocation for C (and views)
   double plan_ms = 0.0;     ///< cost model + binned schedule construction
   double convert_ms = 0.0;  ///< CSR->tile operand conversion (zero for tile-native runs)
@@ -43,7 +43,9 @@ struct TileSpgemmTimings {
   /// Tiles per cost bin (bin 0 lightest); all zero when binning is off.
   std::array<offset_t, kCostBins> bin_tiles{};
   offset_t scheduled_tiles = 0;     ///< C tiles visited by steps 2/3
-  offset_t fused_tiles = 0;         ///< tiles resolved by the fused step-2+3 path
+  /// Tiles resolved by the fused step-2+3 path: for a masked run, every
+  /// non-empty C tile.
+  offset_t fused_tiles = 0;
   /// Kernel dispatch level the run executed at (numeric value of
   /// simd::Level: 0 scalar, 1 swar, 2 avx2, 3 avx512).
   int simd_level = 0;

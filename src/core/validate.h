@@ -10,7 +10,8 @@
 //           the caller).
 //   kCheap  O(rows + tiles): array sizes vs. header counts, monotone
 //           pointers, index-overflow symptoms (negative nnz, negative
-//           offsets). Cheap enough to leave on by default.
+//           offsets), and a mask's per-tile nnz against its row masks.
+//           Cheap enough to leave on by default.
 //   kFull   the complete invariant walk (TileMatrix/Csr::validate(), which
 //           rebuilds masks and brackets every nonzero) plus the NanPolicy
 //           scan over the values.
@@ -18,6 +19,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "common/status.h"
@@ -112,6 +114,24 @@ Status validate_tile_operand(const TileMatrix<T>& m, const char* name, Validatio
     }
     if (nan_policy == NanPolicy::kReject) {
       if (Status s = detail::scan_finite(m.val, name); !s.ok()) return s;
+    }
+  }
+  return Status{};
+}
+
+/// A masked product writes C's values into slices laid out by the mask's
+/// tile_nnz (C is a subset of M), so at kCheap and above each mask tile's
+/// extent must equal its row masks' popcount: O(tiles). Call after
+/// validate_tile_operand has passed the mask.
+template <class T>
+Status validate_mask_bounds(const TileMatrix<T>& m, ValidationLevel level) {
+  if (level == ValidationLevel::kOff) return Status{};
+  for (offset_t t = 0; t < m.num_tiles(); ++t) {
+    std::uint64_t w[kTileMaskWords];
+    pack_tile_words(m.tile_mask(t), w);
+    if (tilemask_popcount(w) != m.tile_nnz_of(t)) {
+      return Status::invalid_argument("mask: tile " + std::to_string(t) +
+                                      " nnz does not match its row masks");
     }
   }
   return Status{};

@@ -11,8 +11,11 @@
 #include <utility>
 
 #include "common/memory.h"
+#include "common/parallel.h"
+#include "core/masked_spgemm.h"
 #include "core/spgemm_context.h"
 #include "matrix/convert.h"
+#include "matrix/ops.h"
 #include "test_support.h"
 
 namespace tsg {
@@ -249,6 +252,96 @@ TEST(FaultInjection, EveryCsrOutputAllocationSurfacesAsStatus) {
     // Balanced accounting: with the context and every result gone, the
     // tracker is back where the iteration started.
     EXPECT_EQ(MemoryTracker::instance().current(), live_before) << "site " << n;
+  }
+}
+
+TEST(FaultInjection, EveryMaskedAllocationSurfacesAsStatus) {
+  // The masked route's tracked sites include its bound buffer (C's values
+  // sized by the mask), so each of try_run_masked's allocations fails in
+  // turn: kAllocationFailed, balanced tracker, and the same context then
+  // reproduces the undisturbed product.
+  const Csr<double> a = test::make_rmat_small();
+  const TileMatrix<double> ta = csr_to_tile(a);
+  SpgemmContext golden_ctx(config());
+  const TileMatrix<double> golden = golden_ctx.run_masked(ta, ta, ta);
+  ASSERT_GT(golden.nnz(), 0);
+
+  std::uint64_t total = 0;
+  {
+    FaultPlan never;
+    never.fail_at = ~std::uint64_t{0};
+    FaultInjectionScope scope(never);
+    SpgemmContext ctx(config());
+    ASSERT_TRUE(ctx.try_run_masked(ta, ta, ta).ok());
+    total = MemoryTracker::instance().tracked_allocs();
+  }
+  ASSERT_GT(total, 0u);
+
+  for (std::uint64_t n = 1; n <= total; ++n) {
+    const std::int64_t live_before = MemoryTracker::instance().current();
+    {
+      SpgemmContext ctx(config());
+      FaultPlan plan;
+      plan.fail_at = n;
+      TileSpgemmTimings timings;
+      timings.chunks = -1;
+      Expected<TileMatrix<double>> result = [&] {
+        FaultInjectionScope faults(plan);
+        return ctx.try_run_masked(ta, ta, ta, &timings);
+      }();
+      ASSERT_FALSE(result.ok()) << "site " << n << " of " << total << " did not trip";
+      EXPECT_EQ(result.status().code(), StatusCode::kAllocationFailed)
+          << "site " << n << ": " << result.status().to_string();
+      EXPECT_EQ(timings.chunks, -1) << "site " << n << ": timings written on failure";
+
+      Expected<TileMatrix<double>> retry = ctx.try_run_masked(ta, ta, ta);
+      ASSERT_TRUE(retry.ok()) << "context not reusable after injected fault at site " << n;
+      expect_bit_identical(golden, *retry);
+    }
+    EXPECT_EQ(MemoryTracker::instance().current(), live_before) << "site " << n;
+  }
+}
+
+TEST(FaultInjection, EveryMaskedCsrWrapperAllocationSurfacesAsStatus) {
+  // spgemm_tile_masked: conversions, bound buffer and CSR sink all fail in
+  // turn. The wrapper throws the Status; nothing it allocated survives, and
+  // the next call reproduces the undisturbed product. One thread keeps the
+  // allocation order fixed for the transient context.
+  const ThreadCountGuard threads(1);
+  const Csr<double> a = test::make_er_small();
+  const Csr<double> l = tril_strict(a);
+  const TileSpgemmOptions options = config().options;
+  const Csr<double> golden = spgemm_tile_masked(a, a, l, options);
+  ASSERT_GT(golden.nnz(), 0);
+
+  std::uint64_t total = 0;
+  {
+    FaultPlan never;
+    never.fail_at = ~std::uint64_t{0};
+    FaultInjectionScope scope(never);
+    (void)spgemm_tile_masked(a, a, l, options);
+    total = MemoryTracker::instance().tracked_allocs();
+  }
+  ASSERT_GT(total, 0u);
+
+  for (std::uint64_t n = 1; n <= total; ++n) {
+    const std::int64_t live_before = MemoryTracker::instance().current();
+    FaultPlan plan;
+    plan.fail_at = n;
+    StatusCode code = StatusCode::kOk;
+    try {
+      FaultInjectionScope faults(plan);
+      (void)spgemm_tile_masked(a, a, l, options);
+    } catch (const Error& e) {
+      code = e.status().code();
+    }
+    EXPECT_EQ(code, StatusCode::kAllocationFailed) << "site " << n << " of " << total;
+    EXPECT_EQ(MemoryTracker::instance().current(), live_before) << "site " << n;
+
+    const Csr<double> retry = spgemm_tile_masked(a, a, l, options);
+    ASSERT_EQ(retry.row_ptr, golden.row_ptr) << "site " << n;
+    ASSERT_EQ(retry.col_idx, golden.col_idx) << "site " << n;
+    ASSERT_EQ(retry.val, golden.val) << "site " << n;
   }
 }
 

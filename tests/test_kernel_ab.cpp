@@ -26,6 +26,8 @@
 #include "gen/generators.h"
 #include "matrix/convert.h"
 #include "matrix/coo.h"
+#include "matrix/ops.h"
+#include "matrix/transpose.h"
 #include "obs/metrics.h"
 #include "test_support.h"
 
@@ -211,6 +213,14 @@ struct MaskedCase {
   Csr<T> plain;  ///< A*B, scalar level, single shot
 };
 
+/// The plain product A*B, computed at the scalar level in one shot.
+template <class T>
+Csr<T> plain_product(const Csr<T>& a, const Csr<T>& b) {
+  SpgemmContext gold(
+      SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar).with_device_mem_mb(4096));
+  return gold.run_csr(a, b);
+}
+
 template <class T>
 MaskedCase<T> masked_case(std::uint64_t seed) {
   const T specials[] = {std::numeric_limits<T>::quiet_NaN(), std::numeric_limits<T>::infinity(),
@@ -227,9 +237,7 @@ MaskedCase<T> masked_case(std::uint64_t seed) {
       if (poisoned(mc.b.col_idx[k])) mc.b.val[k] = specials[(k + 1) % 3];
     }
   }
-  SpgemmContext gold(
-      SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar).with_device_mem_mb(4096));
-  mc.plain = gold.run_csr(mc.a, mc.b);
+  mc.plain = plain_product(mc.a, mc.b);
 
   mc.m = Csr<T>(n, n);
   std::vector<index_t> cols;
@@ -286,40 +294,134 @@ void expect_masked_matches_plain(const MaskedCase<T>& mc, const Csr<T>& c,
   }
 }
 
-/// Every level x route x {single shot, 1 MB forced chunks}.
+/// Tiles of C holding a nonzero: the masked route finishes each of them in
+/// step 2, so this is what it must report as fused.
 template <class T>
-void expect_masked_sweep_matches_plain(std::uint64_t seed) {
+offset_t nonempty_tiles(const TileMatrix<T>& c) {
+  offset_t n = 0;
+  for (offset_t t = 0; t < c.num_tiles(); ++t) n += c.tile_nnz_of(t) > 0 ? 1 : 0;
+  return n;
+}
+
+/// Every level x route x {single shot, 1 MB forced chunks}, through
+/// try_run_masked (tile form) and spgemm_tile_masked (CSR): C equals the
+/// plain product on M's pattern, and the masked route ran, finishing every
+/// non-empty C tile in step 2.
+template <class T>
+void expect_masked_sweep_matches_plain(const MaskedCase<T>& mc, const std::string& name) {
   BudgetOverrideGuard guard;
-  const MaskedCase<T> mc = masked_case<T>(seed);
-  ASSERT_GT(mc.m.nnz(), 0);
   const TileMatrix<T> ta = csr_to_tile(mc.a);
   const TileMatrix<T> tb = csr_to_tile(mc.b);
   const TileMatrix<T> tm = csr_to_tile(mc.m);
-  obs::Counter& chunks = obs::MetricsRegistry::instance().counter("spgemm.chunks");
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  const obs::Counter& chunks = reg.counter("spgemm.chunks");
+  const obs::Counter& fused = reg.counter("spgemm.tiles.fused");
   for (const simd::Level level : available_levels()) {
     for (const test::Route& route : accumulator_routes(level)) {
       for (const std::size_t mb : {std::size_t{4096}, std::size_t{1}}) {
-        const std::string what = std::string(simd::level_name(level)) + " " + route.name +
+        const std::string what = name + " " + simd::level_name(level) + " " + route.name +
                                  (mb == 1 ? " chunked" : " single-shot");
         SpgemmContext ctx(SpgemmContext::Config(route.config).with_device_mem_mb(mb));
-        const std::int64_t chunks_before = chunks.value();
-        Expected<TileMatrix<T>> c = ctx.try_run_masked(ta, tb, tm);
+        TileSpgemmTimings timings;
+        Expected<TileMatrix<T>> c = ctx.try_run_masked(ta, tb, tm, &timings);
         ASSERT_TRUE(c.ok()) << what << ": " << c.status().to_string();
-        if (mb == 1) {
-          EXPECT_GE(chunks.value() - chunks_before, 2) << what << ": 1 MB did not chunk";
-        }
+        EXPECT_EQ(timings.chunks > 1, mb == 1) << what;
+        EXPECT_EQ(timings.fused_tiles, nonempty_tiles(*c)) << what;
         expect_masked_matches_plain(mc, tile_to_csr(*c), what);
+
+        // The CSR wrapper's transient context reads the process-wide
+        // budget the context above published.
+        const std::int64_t chunks_before = chunks.value();
+        const std::int64_t fused_before = fused.value();
+        const Csr<T> csr = spgemm_tile_masked(mc.a, mc.b, mc.m, route.config.options);
+        EXPECT_EQ(chunks.value() - chunks_before > 1, mb == 1) << what << " (CSR)";
+        EXPECT_EQ(fused.value() - fused_before, nonempty_tiles(*c)) << what << " (CSR)";
+        expect_csr_identical(tile_to_csr(*c), csr, what + " (CSR)");
       }
     }
   }
 }
 
 TEST(MaskedAb, MaskedEqualsPlainOnMaskPatternDouble) {
-  expect_masked_sweep_matches_plain<double>(9401);
+  const MaskedCase<double> mc = masked_case<double>(9401);
+  ASSERT_GT(mc.m.nnz(), 0);
+  expect_masked_sweep_matches_plain(mc, "poisoned");
 }
 
 TEST(MaskedAb, MaskedEqualsPlainOnMaskPatternFloat) {
-  expect_masked_sweep_matches_plain<float>(9402);
+  const MaskedCase<float> mc = masked_case<float>(9402);
+  ASSERT_GT(mc.m.nnz(), 0);
+  expect_masked_sweep_matches_plain(mc, "poisoned");
+}
+
+/// Strict lower triangle of a symmetrised R-MAT graph, with random values
+/// in [-1, 1).
+Csr<double> random_lower_triangle(int scale, std::uint64_t seed) {
+  Csr<double> l = tril_strict(gen::symmetrized(gen::rmat(scale, 8.0, seed)));
+  Xoshiro256 rng(seed);
+  for (double& v : l.val) v = static_cast<double>(rng.next() >> 11) * 0x1.0p-52 - 1.0;
+  return l;
+}
+
+TEST(MaskedAb, RandomTriangleProduct) {
+  // (L*L) .* L, the triangle-counting product, with values that make any
+  // change in summation order visible.
+  MaskedCase<double> mc;
+  mc.a = random_lower_triangle(10, 9404);
+  mc.b = mc.a;
+  mc.m = mc.a;
+  mc.plain = plain_product(mc.a, mc.b);
+  expect_masked_sweep_matches_plain(mc, "triangle");
+}
+
+TEST(MaskedAb, MaskTilesAboveTnnzTakeTheDenseKernel) {
+  // A wide band's square, kept on two of every three entries: the mask
+  // tiles along the band hold far more than tnnz nonzeros, so adaptive
+  // runs send them to the dense kernel (counted with metrics detail on).
+  MaskedCase<double> mc;
+  mc.a = gen::banded(1500, 24, 9405);
+  mc.b = mc.a;
+  mc.plain = plain_product(mc.a, mc.b);
+  mc.m = mc.plain;
+  mc.m.col_idx.clear();
+  mc.m.val.clear();
+  for (index_t i = 0; i < mc.plain.rows; ++i) {
+    for (offset_t g = mc.plain.row_ptr[i]; g < mc.plain.row_ptr[i + 1]; ++g) {
+      if (g % 3 == 0) continue;
+      mc.m.col_idx.push_back(mc.plain.col_idx[static_cast<std::size_t>(g)]);
+      mc.m.val.push_back(1.0);
+    }
+    mc.m.row_ptr[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(mc.m.col_idx.size());
+  }
+  const TileMatrix<double> tm = csr_to_tile(mc.m);
+  offset_t above = 0;
+  for (offset_t t = 0; t < tm.num_tiles(); ++t) {
+    above += tm.tile_nnz_of(t) > TileSpgemmOptions{}.tnnz ? 1 : 0;
+  }
+  ASSERT_GT(above, tm.num_tiles() / 2);
+
+  const bool detail_was = obs::metrics_detail_enabled();
+  obs::set_metrics_detail_enabled(true);
+  const obs::Counter& dense = obs::MetricsRegistry::instance().counter("spgemm.accumulator.dense");
+  const std::int64_t dense_before = dense.value();
+  expect_masked_sweep_matches_plain(mc, "dense mask");
+  EXPECT_GT(dense.value() - dense_before, 0);
+  obs::set_metrics_detail_enabled(detail_was);
+}
+
+TEST(MaskedAb, MaskTheProductMisses) {
+  // L*L is strictly lower triangular and the mask L^T strictly upper, so
+  // nnz(C) = 0 while C keeps every (empty) tile of the mask.
+  MaskedCase<double> mc;
+  mc.a = random_lower_triangle(10, 9406);
+  mc.b = mc.a;
+  mc.m = transpose(mc.a);
+  mc.plain = plain_product(mc.a, mc.b);
+  const TileMatrix<double> c = tile_spgemm_masked(csr_to_tile(mc.a), csr_to_tile(mc.b),
+                                                  csr_to_tile(mc.m));
+  ASSERT_EQ(c.nnz(), 0);
+  ASSERT_GT(c.num_tiles(), 0);
+  expect_masked_sweep_matches_plain(mc, "missed mask");
 }
 
 /// The plus-times semiring runs the plain product's dispatched kernels.

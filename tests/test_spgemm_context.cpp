@@ -2,9 +2,12 @@
 // step2+step3 path, and the Config builder / environment plumbing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -14,6 +17,7 @@
 #include "core/semiring_spgemm.h"
 #include "core/spgemm_context.h"
 #include "matrix/convert.h"
+#include "matrix/ops.h"
 #include "matrix/transpose.h"
 #include "test_support.h"
 
@@ -126,6 +130,18 @@ TEST(SpgemmContext, CostBinningIsPureScheduling) {
     SpgemmContext linear(SpgemmContext::Config{}.with_cost_binning(false));
     expect_bit_identical(binned.run_csr(a, b), linear.run_csr(a, b), c.name);
   }
+}
+
+TEST(SpgemmContext, ScheduleHoldsThirtyTwoBitTileIds) {
+  // The binned visit order stores 32-bit tile ids. A call or chunk with
+  // more tiles than that keeps the natural order, which
+  // CostBinningIsPureScheduling shows gives the same product.
+  constexpr offset_t kMaxIds = std::numeric_limits<std::uint32_t>::max();
+  static_assert(std::is_same_v<decltype(ExecutionPlan::order), const std::uint32_t*>);
+  EXPECT_TRUE(detail::fits_schedule(0));
+  EXPECT_TRUE(detail::fits_schedule(kMaxIds));
+  EXPECT_FALSE(detail::fits_schedule(kMaxIds + 1));
+  EXPECT_FALSE(detail::fits_schedule(std::numeric_limits<offset_t>::max()));
 }
 
 TEST(SpgemmContext, BinCountersCoverAllTiles) {
@@ -311,6 +327,20 @@ TEST(SpgemmContextStatus, MaskedBoundaryValidatesAllThreeOperands) {
   EXPECT_TRUE(ctx.try_run_masked(good, good, good).ok());
 }
 
+TEST(SpgemmContextStatus, MaskTileExtentsMustMatchItsRowMasks) {
+  // The masked route places C's values by the mask's tile_nnz, so a mask
+  // tile whose row masks hold more entries than its extent is refused
+  // before any work (kOff trusts the caller, as for every other check).
+  const TileMatrix<double> good = csr_to_tile(test::make_er_small());
+  TileMatrix<double> bad = good;
+  rowmask_t& row = bad.mask[0];
+  row = static_cast<rowmask_t>(row | static_cast<rowmask_t>(~row & (~row + 1u)));
+  SpgemmContext ctx;
+  const Status s = ctx.try_run_masked(good, good, bad).status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.to_string();
+  EXPECT_TRUE(ctx.try_run_masked(good, good, good).ok());
+}
+
 TEST(SpgemmContextStatus, SemiringRejectsMalformedOperandsLikeTryRun) {
   const TileMatrix<double> good = csr_to_tile(test::make_er_small());
   TileMatrix<double> overflowed = good;
@@ -380,7 +410,12 @@ TEST(SpgemmContextStatus, CsrOutputHonoursCancelAndDeadline) {
 
 TEST(SpgemmContextStatus, MaskedTimingsFilledOnSuccessOnly) {
   const TileMatrix<double> t = csr_to_tile(test::make_rmat_small());
-  SpgemmContext ctx;
+  // A budget roomy enough for one shot, whatever TSG_DEVICE_MEM_MB says;
+  // the environment default is restored on the way out.
+  struct RestoreBudget {
+    ~RestoreBudget() { set_device_memory_budget_bytes(0); }
+  } restore;
+  SpgemmContext ctx(SpgemmContext::Config{}.with_device_mem_mb(4096));
   TileSpgemmTimings timings;
   ASSERT_TRUE(ctx.try_run_masked(t, t, t, &timings).ok());
   EXPECT_EQ(timings.chunks, 1);
@@ -394,6 +429,49 @@ TEST(SpgemmContextStatus, MaskedTimingsFilledOnSuccessOnly) {
   untouched.chunks = -1;
   EXPECT_EQ(ctx.try_run_masked(t, t, t, &untouched).status().code(), StatusCode::kCancelled);
   EXPECT_EQ(untouched.chunks, -1);
+}
+
+TEST(SpgemmContextStatus, TokenTrippedDuringMaskedStep2IsCancelled) {
+  // A watcher cancels once step 2 has polled the token twice (the step-1
+  // boundary bumps the progress epoch to 1, step 2 then bumps it every 64
+  // tiles). The masked route computes C's values in step 2, so the call
+  // must come back kCancelled with no C at all; a watcher that wakes too
+  // late sees a whole, correct C instead. Repeated until one cancel lands
+  // inside step 2.
+  const TileMatrix<double> t =
+      csr_to_tile(tril_strict(gen::symmetrized(gen::rmat(12, 8.0, 83))));
+  const TileMatrix<double> gold = tile_spgemm_masked(t, t, t);
+  const std::uint64_t last_step2_epoch = 1 + static_cast<std::uint64_t>((t.num_tiles() + 63) / 64);
+  ASSERT_GT(last_step2_epoch, 10u);
+  SpgemmContext ctx(SpgemmContext::Config{}.with_threads(1));
+  bool tripped_in_step2 = false;
+  for (int attempt = 0; attempt < 20 && !tripped_in_step2; ++attempt) {
+    CancelSource source;
+    const CancelToken token = source.token();
+    ctx.set_cancel_token(token);
+    std::atomic<bool> done{false};
+    std::uint64_t cancelled_at = 0;
+    std::thread watcher([&] {
+      while (token.progress_epoch() < 3) {
+        if (done.load()) return;
+      }
+      source.request_cancel();
+      cancelled_at = token.progress_epoch();
+    });
+    Expected<TileMatrix<double>> c = ctx.try_run_masked(t, t, t);
+    done.store(true);
+    watcher.join();
+    if (c.ok()) {
+      expect_bit_identical(tile_to_csr(*c), tile_to_csr(gold), "late cancel");
+      continue;
+    }
+    EXPECT_EQ(c.status().code(), StatusCode::kCancelled) << c.status().to_string();
+    tripped_in_step2 = cancelled_at <= last_step2_epoch;
+  }
+  EXPECT_TRUE(tripped_in_step2);
+  ctx.set_cancel_token(CancelToken{});
+  expect_bit_identical(tile_to_csr(ctx.run_masked(t, t, t)), tile_to_csr(gold),
+                       "masked after cancel in step 2");
 }
 
 TEST(SpgemmContextStatus, ExpectedAccessorsRoundTrip) {
