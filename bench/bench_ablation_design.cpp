@@ -1,10 +1,14 @@
 // Ablation bench for the design choices Section 3.3 argues for, measured
 // end-to-end on the representative suite (the kernel-level view lives in
 // bench_micro_kernels):
-//   1. binary-search vs merge intersection in steps 2/3
 //   2. adaptive vs always-sparse vs always-dense accumulator
+//   2b. recomputed vs cached step-3 tile pairs
 //   3. sensitivity to the tnnz threshold around the paper's 192
-#include <cmath>
+// Ablation 1, the set intersection, has no end-to-end switch: steps 2 and 3
+// always use the stamped tile-row intersection. bench_micro_kernels times
+// it against the paper's binary search (BM_IntersectStamp vs
+// BM_IntersectBinary).
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.h"
@@ -32,26 +36,6 @@ double time_with(const TileMatrix<double>& t, const TileSpgemmOptions& opt, int 
 int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::parse(argc, argv);
   const auto suite = gen::representative_suite();
-
-  bench::print_header("Ablation 1: set intersection",
-                      "Section 3.3: 'the merging primitive is often slower than binary "
-                      "search'");
-  Table t1({"matrix", "binary search ms", "merge ms", "merge/binary"});
-  double geo = 0;
-  int counted = 0;
-  for (const auto& m : suite) {
-    const TileMatrix<double> t = csr_to_tile(m.a);
-    TileSpgemmOptions bs, mg;
-    mg.intersect = IntersectMethod::kMerge;
-    const double ms_bs = time_with(t, bs, args.effective_reps());
-    const double ms_mg = time_with(t, mg, args.effective_reps());
-    t1.add_row({m.name, fmt(ms_bs), fmt(ms_mg), fmt(ms_mg / ms_bs) + "x"});
-    geo += std::log(ms_mg / ms_bs);
-    ++counted;
-  }
-  bench::emit(t1, args);
-  std::cout << "geomean merge/binary-search ratio: " << fmt(std::exp(geo / counted))
-            << "x (paper found binary search faster)\n";
 
   bench::print_header("Ablation 2: accumulator policy",
                       "Section 3.3: adaptive sparse/dense selection at tnnz=192");

@@ -1,7 +1,7 @@
 // Kernel-level ablation microbenchmarks (google-benchmark) for the design
 // choices Section 3.3 argues for:
-//   * binary-search vs merge set intersection (the paper picked binary
-//     search after finding merge slower)
+//   * binary-search vs stamped tile-row set intersection (the paper picked
+//     binary search on the GPU; steps 2 and 3 use the stamp on the CPU)
 //   * sparse vs dense accumulator across output-tile densities (the basis
 //     of the tnnz = 192 threshold)
 //   * end-to-end sensitivity of TileSpGEMM to the tnnz threshold
@@ -12,6 +12,7 @@
 // `--regress` (see regress_harness.h) to emit/compare BENCH_baseline.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string_view>
 #include <vector>
@@ -60,7 +61,7 @@ struct IntersectFixture {
   }
 };
 
-void BM_Intersect(benchmark::State& state, IntersectMethod method) {
+void BM_IntersectBinary(benchmark::State& state) {
   const IntersectFixture fx(static_cast<index_t>(state.range(0)),
                             static_cast<index_t>(state.range(1)), 0.3);
   std::vector<MatchedPair> out;
@@ -68,18 +69,38 @@ void BM_Intersect(benchmark::State& state, IntersectMethod method) {
     out.clear();
     intersect_tiles(fx.a_cols.data(), 0, static_cast<index_t>(fx.a_cols.size()),
                     fx.b_rows.data(), fx.b_ids.data(),
-                    static_cast<index_t>(fx.b_rows.size()), method, out);
+                    static_cast<index_t>(fx.b_rows.size()), out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.a_cols.size() + fx.b_rows.size()));
 }
 
-void BM_IntersectBinary(benchmark::State& s) { BM_Intersect(s, IntersectMethod::kBinarySearch); }
-void BM_IntersectMerge(benchmark::State& s) { BM_Intersect(s, IntersectMethod::kMerge); }
+/// The stamp as steps 2 and 3 use it: the A tile row is stamped once (the
+/// first visit) and every later visit of the same row only walks B's tile
+/// column, so the loop times the per-visit lookup.
+void BM_IntersectStamp(benchmark::State& state) {
+  const IntersectFixture fx(static_cast<index_t>(state.range(0)),
+                            static_cast<index_t>(state.range(1)), 0.3);
+  const index_t width = 1 + std::max(fx.a_cols.back(), fx.b_rows.back());
+  TileRowStamp stamp;
+  stamp.prepare(width);
+  std::vector<MatchedPair> out;
+  for (auto _ : state) {
+    out.clear();
+    stamp.intersect(0, fx.a_cols.data(), 0, static_cast<index_t>(fx.a_cols.size()),
+                    fx.b_rows.data(), fx.b_ids.data(), static_cast<index_t>(fx.b_rows.size()),
+                    out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fx.a_cols.size() + fx.b_rows.size()));
+}
 
 BENCHMARK(BM_IntersectBinary)->Args({8, 256})->Args({32, 32})->Args({4, 1024});
-BENCHMARK(BM_IntersectMerge)->Args({8, 256})->Args({32, 32})->Args({4, 1024});
+BENCHMARK(BM_IntersectStamp)->Args({8, 256})->Args({32, 32})->Args({4, 1024});
 
 // ------------------------------------------------------------ accumulator --
 

@@ -83,7 +83,7 @@ Csr<float> spgemm_tsparse(const Csr<float>& a, const Csr<float>& b,
       const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
       intersect_tiles(ta.tile_col_idx.data() + a_base, a_base, len_a,
                       b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
-                      IntersectMethod::kBinarySearch, pairs);
+                      pairs);
 
       float* acc = dense_c.data() + static_cast<std::size_t>(t) * kTileNnzMax;
       float da[kTileNnzMax];

@@ -64,9 +64,10 @@ void publish_run_metrics(const TileSpgemmTimings& tm) {
 }
 
 /// Cost bin of one C tile. The estimated intersection work is the sum of
-/// the two list lengths (both the binary-search and merge intersections
-/// are linear-ish in it), which also bounds the number of matched pairs
-/// the numeric phase accumulates.
+/// the two list lengths: the stamped intersection writes A's tile row
+/// (only when the worker moves to a new row) and reads B's tile column
+/// once. The shorter list also bounds the number of matched pairs the
+/// numeric phase accumulates.
 int bin_of(offset_t cost) {
   if (cost <= 8) return 0;
   if (cost <= 32) return 1;
@@ -494,10 +495,12 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
 
   ScopedAccumulator scope(tm.plan_ms);
   TSG_TRACE_SPAN("plan", ntiles);
-  // Per-tile cost = |A's tile row| + |B's tile column|: the length of the
-  // two lists the step-2/3 intersection walks. Binned counting sort, heavy
-  // bins first, so the dynamically scheduled loops never finish a light
-  // prefix and then wait on one trailing monster tile.
+  // Per-tile cost = |A's tile row| + |B's tile column|: the column is what
+  // the stamped step-2/3 intersection walks, the row what it stamps when a
+  // worker changes rows. Binned counting sort, heavy bins first, so the
+  // dynamically scheduled loops never finish a light prefix and then wait
+  // on one trailing monster tile. Within a bin tiles keep their storage
+  // order, so a worker's consecutive tiles mostly share A's tile row.
   ws.cost_bin.resize(static_cast<std::size_t>(ntiles));
   std::array<offset_t, kCostBins> count{};
   for (offset_t t = 0; t < ntiles; ++t) {
@@ -557,12 +560,14 @@ SpgemmContext::RunResult<T, kCsr> SpgemmContext::run_impl(const TileMatrix<T>& a
   pending_convert_ms_ = 0.0;
   tm.simd_level = static_cast<int>(effective_simd_level(cfg_.options));
 
-  // Column-major view of B's tile layout, needed by the step-2/3
-  // intersections; building it is allocation/bookkeeping, not algorithm.
+  // Column-major view of B's tile layout and the per-thread A tile-row
+  // stamps, needed by the step-2/3 intersections; building them is
+  // allocation/bookkeeping, not algorithm.
   {
     ScopedAccumulator scope(tm.alloc_ms);
     TSG_TRACE_SPAN("alloc.layout");
     tile_layout_csc(b, ws.b_csc);
+    ws.prepare_stamps(a.tile_cols);
   }
 
   // Step 1: tile structure of C, from the tile layouts or the mask.

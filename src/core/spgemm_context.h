@@ -146,7 +146,6 @@ class SpgemmContext {
     CancelToken cancel_token;
 
     Config& with_options(const TileSpgemmOptions& o) { options = o; return *this; }
-    Config& with_intersect(IntersectMethod m) { options.intersect = m; return *this; }
     Config& with_accumulator(AccumulatorPolicy p) { options.accumulator = p; return *this; }
     Config& with_tnnz(index_t t) { options.tnnz = t; return *this; }
     Config& with_pair_cache(bool on) { options.cache_pairs = on; return *this; }

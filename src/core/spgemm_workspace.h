@@ -3,14 +3,15 @@
 // Every tile_spgemm() call needs the same family of scratch buffers: the
 // column-major view of B's tile layout, the symbolic tile structure of C,
 // step 1's per-tile-row column lists, the cost/schedule arrays of the
-// binned scheduler, and per-thread buffers (intersection scratch, pair
-// cache, staged fused values, the stamped tile set). On the GPU all of
-// this is either on-chip or allocated once per launch; on the CPU the
-// repeated malloc/free of these buffers dominates the iterated workloads
-// (AMG Galerkin chains, Markov clustering). SpgemmWorkspace owns all of
-// them with capacity-preserving reuse: a SpgemmContext keeps one instance
-// per value type and every run() clears sizes but keeps capacity, so
-// steady-state iterations allocate (almost) only the output matrix.
+// binned scheduler, and per-thread buffers (intersection scratch and the
+// A tile-row stamp, pair cache, staged fused values, the stamped tile
+// set). On the GPU all of this is either on-chip or allocated once per
+// launch; on the CPU the repeated malloc/free of these buffers dominates
+// the iterated workloads (AMG Galerkin chains, Markov clustering).
+// SpgemmWorkspace owns all of them with capacity-preserving reuse: a
+// SpgemmContext keeps one instance per value type and every run() clears
+// sizes but keeps capacity, so steady-state iterations allocate (almost)
+// only the output matrix.
 //
 // The tracked buffers still report through MemoryTracker, so Fig. 9 style
 // peak accounting sees the pool exactly like any other workspace.
@@ -170,10 +171,24 @@ struct SpgemmWorkspace {
     tracked_vector<MatchedPair> cache;  ///< matched pairs kept for step 3
     tracked_vector<T> staged;           ///< fused-path values staged in step 2
     detail::StampedTileSet sym;         ///< step-1 stamped column set
+    TileRowStamp stamp;                 ///< step-2/3 A tile-row stamp
+
+    /// Matched pairs of C tile (tile_i, tile_j) into `pairs`, in increasing
+    /// k (Algorithm 2 lines 4-18).
+    void intersect(const TileMatrix<T>& a, const TileLayoutCsc& b_csc, index_t tile_i,
+                   index_t tile_j) {
+      pairs.clear();
+      const offset_t a_base = a.tile_ptr[tile_i];
+      const offset_t b_base = b_csc.col_ptr[tile_j];
+      stamp.intersect(tile_i, a.tile_col_idx.data() + a_base, a_base,
+                      static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base),
+                      b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base,
+                      static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base), pairs);
+    }
 
     std::size_t bytes() const {
       return detail::capacity_bytes(pairs) + detail::capacity_bytes(cache) +
-             detail::capacity_bytes(staged) + sym.bytes();
+             detail::capacity_bytes(staged) + sym.bytes() + stamp.bytes();
     }
   };
 
@@ -208,16 +223,25 @@ struct SpgemmWorkspace {
     if (static_cast<int>(slots.size()) < n) slots.resize(static_cast<std::size_t>(n));
   }
 
+  /// Size every slot's A tile-row stamp for an A with `tile_cols` tile
+  /// columns. Called once per call, after ensure_threads() and before the
+  /// budget check, so bytes() charges the stamps.
+  void prepare_stamps(index_t tile_cols) {
+    for (ThreadSlot& s : slots) s.stamp.prepare(tile_cols);
+  }
+
   ThreadSlot& slot(int tid) { return slots[static_cast<std::size_t>(tid)]; }
 
   /// Reset per-call contents, keeping every buffer's capacity. Also drops
   /// the previous call's cancellation token: a token tripped by request N
   /// must never silently skip tiles of request N+1 on a reused context
-  /// (the pipeline re-stamps its own token right after begin_call()).
+  /// (the pipeline re-stamps its own token right after begin_call()), and
+  /// every stamped A tile row, which may belong to the previous call's A.
   void begin_call() {
     for (ThreadSlot& s : slots) {
       s.cache.clear();
       s.staged.clear();
+      s.stamp.reset();
     }
     pair_slot.clear();
     staged_slot.clear();

@@ -98,16 +98,9 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
     }
 
     // Set intersection of A's tile row `tile_i` with B's tile column
-    // `tile_j` (Algorithm 2 lines 4-18).
-    std::vector<MatchedPair>& pairs = slot.pairs;
-    pairs.clear();
-    const offset_t a_base = a.tile_ptr[tile_i];
-    const index_t len_a = static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base);
-    const offset_t b_base = b_csc.col_ptr[tile_j];
-    const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
-    intersect_tiles(a.tile_col_idx.data() + a_base, a_base, len_a,
-                    b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
-                    options.intersect, pairs);
+    // `tile_j`, through this thread's A tile-row stamp.
+    slot.intersect(a, b_csc, tile_i, tile_j);
+    const std::vector<MatchedPair>& pairs = slot.pairs;
 
     if (detail_metrics) m_pairs.add(static_cast<std::int64_t>(pairs.size()));
     index_t count = 0;

@@ -127,17 +127,10 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
       }
     }
     if (!cached) {
-      std::vector<MatchedPair>& pairs = ws.slot(worker_rank()).pairs;
-      pairs.clear();
-      const offset_t a_base = a.tile_ptr[tile_i];
-      const index_t len_a = static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base);
-      const offset_t b_base = b_csc.col_ptr[tile_j];
-      const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
-      intersect_tiles(a.tile_col_idx.data() + a_base, a_base, len_a,
-                      b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
-                      options.intersect, pairs);
-      pair_data = pairs.data();
-      pair_count = pairs.size();
+      typename SpgemmWorkspace<T>::ThreadSlot& slot = ws.slot(worker_rank());
+      slot.intersect(a, b_csc, tile_i, tile_j);
+      pair_data = slot.pairs.data();
+      pair_count = slot.pairs.size();
     }
 
     // Tile output: accumulate straight into the tile's nnz_c values of C.

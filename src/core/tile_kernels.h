@@ -19,6 +19,7 @@
 #include <type_traits>
 
 #include "core/intersect.h"
+#include "core/options.h"
 #include "core/semiring.h"
 #include "core/simd_dispatch.h"
 #include "core/tile_format.h"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -37,13 +38,14 @@ void dense_semiring_product(const Csr<double>& a, const Csr<double>& b,
 }
 
 template <class S>
-void check_semiring(const Csr<double>& a, const Csr<double>& b, const char* what) {
+void check_semiring(const Csr<double>& a, const Csr<double>& b, const char* what,
+                    const TileSpgemmOptions& options = {}) {
   SCOPED_TRACE(what);
   std::vector<double> expected;
   std::vector<bool> present;
   dense_semiring_product<S>(a, b, expected, present);
 
-  const Csr<double> c = spgemm_semiring<S>(a, b);
+  const Csr<double> c = spgemm_semiring<S>(a, b, options);
   ASSERT_TRUE(c.validate().empty()) << c.validate();
 
   // Every stored entry matches; every present entry is stored.
@@ -131,13 +133,21 @@ TEST(Semiring, SpmvOrAndIsFrontierExpansion) {
 
 TEST(Semiring, WorksUnderAllAccumulatorPolicies) {
   // The semiring path has no dense accumulator (identity-fill is per-slot),
-  // but it should be insensitive to the intersect method.
+  // so every accumulator policy, with or without the pair cache, must give
+  // the brute-force min-plus product.
   const Csr<double> a = gen::dense_blocks(3, 20, 10);
-  TileSpgemmOptions merge;
-  merge.intersect = IntersectMethod::kMerge;
-  const Csr<double> c1 = spgemm_semiring<MinPlus<double>>(a, a);
-  const Csr<double> c2 = spgemm_semiring<MinPlus<double>>(a, a, merge);
-  test::expect_equal(c1, c2, "intersect invariance");
+  for (const AccumulatorPolicy policy :
+       {AccumulatorPolicy::kAdaptive, AccumulatorPolicy::kAlwaysSparse,
+        AccumulatorPolicy::kAlwaysDense}) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
+    for (const bool cache : {false, true}) {
+      TileSpgemmOptions options;
+      options.accumulator = policy;
+      options.cache_pairs = cache;
+      check_semiring<MinPlus<double>>(a, a, cache ? "cached pairs" : "recomputed pairs",
+                                      options);
+    }
+  }
 }
 
 }  // namespace

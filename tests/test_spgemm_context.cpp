@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <thread>
 #include <type_traits>
@@ -17,6 +18,7 @@
 #include "core/semiring_spgemm.h"
 #include "core/spgemm_context.h"
 #include "matrix/convert.h"
+#include "matrix/coo.h"
 #include "matrix/ops.h"
 #include "matrix/transpose.h"
 #include "test_support.h"
@@ -65,6 +67,48 @@ TEST(SpgemmContext, ReusedContextBitIdenticalToFresh) {
     const Csr<double> got = reused.run_csr(a, b);
     expect_bit_identical(want, got, c.name);
   }
+}
+
+/// A 16 x 64 operand (one tile row, four tile columns) whose nonzeros lie
+/// in the given tile columns: every one of its tiles is in tile row 0.
+Csr<double> one_tile_row(std::initializer_list<index_t> tile_cols, std::uint64_t seed) {
+  Coo<double> coo;
+  coo.rows = kTileDim;
+  coo.cols = 4 * kTileDim;
+  for (index_t tc : tile_cols) {
+    for (index_t r = 0; r < kTileDim; ++r) {
+      const index_t c = tc * kTileDim + static_cast<index_t>((r * 7 + seed) % kTileDim);
+      coo.push_back(r, c, 1.0 + static_cast<double>(r + c) / 64.0);
+    }
+  }
+  return coo_to_csr(std::move(coo));
+}
+
+TEST(SpgemmContext, ReusedStampNeverTrustsThePreviousA) {
+  // One worker, one tile row: the second call visits the tile row its
+  // stamp holds from the first call, but of another A. A1's tiles sit at
+  // storage ids 0..2 for tile columns 0..2, A2's only tile at id 0 for
+  // tile column 3, so any entry kept from A1 pairs A2's tile with the
+  // wrong B tiles.
+  const Csr<double> a1 = one_tile_row({0, 1, 2}, 3);
+  const Csr<double> a2 = one_tile_row({3}, 5);
+  const Csr<double> b = gen::erdos_renyi(4 * kTileDim, 2 * kTileDim, 900, 61);
+  const Csr<double> mask = gen::erdos_renyi(kTileDim, 2 * kTileDim, 200, 62);
+  const TileMatrix<double> tb = csr_to_tile(b);
+  const TileMatrix<double> tm = csr_to_tile(mask);
+  const auto config = SpgemmContext::Config{}.with_threads(1);
+  SpgemmContext reused(config);
+  for (const Csr<double>* a : {&a1, &a2, &a1}) {
+    const TileMatrix<double> ta = csr_to_tile(*a);
+    SpgemmContext fresh(config);
+    expect_bit_identical(fresh.run_csr(*a, b), reused.run_csr(*a, b), "csr");
+    expect_bit_identical(tile_to_csr(fresh.run(ta, tb).c), tile_to_csr(reused.run(ta, tb).c),
+                         "tile");
+    expect_bit_identical(tile_to_csr(fresh.run_masked(ta, tb, tm)),
+                         tile_to_csr(reused.run_masked(ta, tb, tm)), "masked");
+  }
+  // And the reused result is the product itself, not just a repeatable one.
+  test::expect_equal(spgemm_reference(a2, b), reused.run_csr(a2, b), "A2 vs reference");
 }
 
 TEST(SpgemmContext, RepeatedRunsThroughOneContextAreStable) {
@@ -210,13 +254,11 @@ TEST(SpgemmContext, ConvertMsIsAttributed) {
 
 TEST(SpgemmContext, ConfigBuilderComposes) {
   const SpgemmContext::Config cfg = SpgemmContext::Config{}
-                                        .with_intersect(IntersectMethod::kMerge)
                                         .with_tnnz(64)
                                         .with_threads(2)
                                         .with_cost_binning(false)
                                         .with_fused_path(true)
                                         .with_fuse_threshold(32);
-  EXPECT_EQ(cfg.options.intersect, IntersectMethod::kMerge);
   EXPECT_EQ(cfg.options.tnnz, 64);
   EXPECT_TRUE(cfg.options.cache_pairs);  // implied by the fused path
   EXPECT_EQ(cfg.threads, 2);
